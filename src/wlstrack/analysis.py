@@ -110,6 +110,22 @@ class SystemEnsemble:
         A, Q = self.members[index]
         return lambda_matrix(A, Q, gamma)
 
+    def window_full_rank(self, window: tuple, cache: dict) -> bool:
+        """Whether the members listed in `window`, stacked vertically, have
+        full column rank, i.e. jointly observe the whole state.
+
+        The stacked kernel is the intersection of the members' kernels.
+        Results are memoized in `cache`, keyed by the window tuple.
+        """
+        good = cache.get(window)
+        if good is None:
+            stacked = np.vstack([self.members[i][0] for i in window])
+            s = np.linalg.svd(stacked, compute_uv=False)
+            n = self.n_states
+            good = bool(s.size >= n and s[n - 1] > self.rank_tolerance * s[0])
+            cache[window] = good
+        return good
+
 
 class EnsembleConstants(NamedTuple):
     """Worst-case constants over the ensemble (see ensemble_constants)."""
@@ -191,9 +207,8 @@ def observability_window(sequence: Sequence[int], ensemble: SystemEnsemble, max_
     """Smallest tau such that every tau consecutive matrices of the sequence
     jointly observe the full state.
 
-    The kernel-intersection condition is checked as a full-column-rank test
-    on the vertically stacked window matrix (the stacked kernel equals the
-    intersection of the kernels).  Returns None when no window length up to
+    The kernel-intersection condition is checked by
+    SystemEnsemble.window_full_rank.  Returns None when no window length up to
     len(sequence) (or max_window) works.
     """
     seq = [int(i) for i in sequence]
@@ -213,19 +228,10 @@ def observability_window(sequence: Sequence[int], ensemble: SystemEnsemble, max_
         window_rows = prefix[tau:] - prefix[:-tau]
         if window_rows.min() < n:
             continue
-        ok = True
-        for start in range(horizon - tau + 1):
-            key = tuple(seq[start : start + tau])
-            good = cache.get(key)
-            if good is None:
-                stacked = np.vstack([ensemble.members[i][0] for i in key])
-                s = np.linalg.svd(stacked, compute_uv=False)
-                good = bool(s.size >= n and s[n - 1] > ensemble.rank_tolerance * s[0])
-                cache[key] = good
-            if not good:
-                ok = False
-                break
-        if ok:
+        if all(
+            ensemble.window_full_rank(tuple(seq[start : start + tau]), cache)
+            for start in range(horizon - tau + 1)
+        ):
             return tau
     return None
 

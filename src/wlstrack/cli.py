@@ -9,6 +9,7 @@ deterministic given the inputs; seeds live in the scenario files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -64,6 +65,22 @@ def _parse_gammas(text: str) -> list[float]:
     return gammas
 
 
+def _dump_run0(args, scenario, ensemble, run0) -> None:
+    """Write run 0's measurement batches and estimate trajectory, as requested."""
+    if args.dump_measurements:
+        batches = []
+        for t, index in enumerate(run0.member_indices, start=1):
+            A, Q = ensemble.members[index]
+            batches.append(MeasurementBatch(t, A @ run0.states[t] + run0.noises[t - 1], A, Q))
+        with open(args.dump_measurements, "w", encoding="utf-8") as fobj:
+            io.write_batches_jsonl(batches, fobj)
+    if args.dump_estimates:
+        with open(args.dump_estimates, "w", encoding="utf-8") as fobj:
+            io.write_estimates_header(fobj, scenario.n_states)
+            for t in range(1, scenario.horizon + 1):
+                io.write_estimates_row(fobj, t, run0.estimates[t])
+
+
 def cmd_simulate(args) -> int:
     scenario = _load_scenario(args.config)
     ensemble = simulation.build_ensemble(scenario)
@@ -74,33 +91,19 @@ def cmd_simulate(args) -> int:
         f"# psi={psi_value:.6g} tau={tau} lambda_bar={consts.lambda_bar:.6g} c={consts.c:.6g}",
         file=sys.stderr,
     )
-    summary = simulation.monte_carlo(scenario, n_jobs=args.jobs)
+    # One pass over the runs feeds the summary, run 0's dumps and --dump-runs.
+    keep_details = bool(args.dump_measurements or args.dump_estimates)
+    norms = []
+    runs_file = open(args.dump_runs, "w", encoding="utf-8") if args.dump_runs else contextlib.nullcontext()
+    with runs_file as runs_out:
+        for run in simulation.iter_runs(scenario, n_jobs=args.jobs, keep_details=keep_details):
+            if keep_details and not norms:
+                _dump_run0(args, scenario, ensemble, run)
+            norms.append(run.per_step_error)
+            if runs_out:
+                io.write_run_results_jsonl([run], runs_out)
     with open(args.out, "w", encoding="utf-8") as fobj:
-        io.write_mc_summary_csv(summary, fobj)
-    if args.dump_measurements or args.dump_estimates:
-        run0 = simulation.simulate_run(
-            scenario, simulation.seed_for_run(scenario, 0), ensemble=ensemble, keep_details=True
-        )
-        if args.dump_measurements:
-            batches = []
-            for t in range(1, scenario.horizon + 1):
-                A, Q = ensemble.members[run0.member_indices[t - 1]]
-                y = A @ run0.states[t] + run0.noises[t - 1]
-                batches.append(MeasurementBatch(t, y, A, Q))
-            with open(args.dump_measurements, "w", encoding="utf-8") as fobj:
-                io.write_batches_jsonl(batches, fobj)
-        if args.dump_estimates:
-            with open(args.dump_estimates, "w", encoding="utf-8") as fobj:
-                io.write_estimates_header(fobj, scenario.n_states)
-                for t in range(1, scenario.horizon + 1):
-                    io.write_estimates_row(fobj, t, run0.estimates[t])
-    if args.dump_runs:
-        with open(args.dump_runs, "w", encoding="utf-8") as fobj:
-            results = (
-                simulation.simulate_run(scenario, simulation.seed_for_run(scenario, i), ensemble=ensemble)
-                for i in range(scenario.n_runs)
-            )
-            io.write_run_results_jsonl(results, fobj)
+        io.write_mc_summary_csv(simulation.summarize(norms), fobj)
     return EXIT_OK
 
 
@@ -146,6 +149,7 @@ def cmd_bounds(args) -> int:
             raise ValueError("--gamma-grid needs 0 < LO < HI and an integer COUNT >= 1")
         gammas = list(np.geomspace(lo, hi, int(count)))
 
+    # Compute everything before opening OUT, so that rejected input leaves no file behind.
     consts = analysis.ensemble_constants(ensemble)
     h_b = [
         analysis.h_bounded(g, tau, delta_x, consts.c, delta_n, consts.lambda_bar) for g in gammas
@@ -154,9 +158,6 @@ def cmd_bounds(args) -> int:
         analysis.h_stochastic(g, tau, consts.capital_c, consts.m, delta_x, consts.lambda_bar)
         for g in gammas
     ]
-    with open(args.out, "w", encoding="utf-8") as fobj:
-        io.write_bounds_csv(gammas, h_b, h_s, fobj)
-
     reports = {}
     for mode in ("bounded", "gaussian"):
         star_gamma = args.gamma
@@ -171,6 +172,8 @@ def cmd_bounds(args) -> int:
         reports[mode] = analysis.bound_report(
             ensemble, tau, star_gamma, delta_x, delta_n, noise_mode=mode
         )
+    with open(args.out, "w", encoding="utf-8") as fobj:
+        io.write_bounds_csv(gammas, h_b, h_s, fobj)
     report_path = args.report if args.report else args.out + ".report.json"
     with open(report_path, "w", encoding="utf-8") as fobj:
         io.write_bound_reports_json(reports, fobj)

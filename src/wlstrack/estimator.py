@@ -73,6 +73,25 @@ def check_spd(Q: np.ndarray, name: str = "Q", sym_tol: float = 1e-10) -> None:
         raise np.linalg.LinAlgError(f"{name} is not positive definite") from None
 
 
+def _validate_aq(A, Q) -> tuple[np.ndarray, np.ndarray]:
+    A = _as_float_array(A, "A", 2)
+    m = A.shape[0]
+    if Q is None:
+        Q = np.eye(m)
+    else:
+        Q = _as_float_array(Q, "Q", 2)
+        if Q.shape != (m, m):
+            raise ValueError(f"Q has shape {Q.shape}, expected {(m, m)}")
+        check_spd(Q, "Q")
+    return A, Q
+
+
+def _check_gamma(gamma: float) -> float:
+    if not (np.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    return float(gamma)
+
+
 def _solve_spd(Q: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Q^{-1} B for symmetric positive definite Q, via Cholesky."""
     if Q.shape[0] == 0:
@@ -107,18 +126,11 @@ class MeasurementBatch:
         if int(self.t) != self.t or self.t < 1:
             raise ValueError(f"t must be an integer >= 1, got {self.t}")
         object.__setattr__(self, "t", int(self.t))
-        A = _as_float_array(self.A, "A", 2)
+        A, Q = _validate_aq(self.A, self.Q)
         y = _as_float_array(self.y, "y", 1)
         m = A.shape[0]
         if y.shape[0] != m:
             raise ValueError(f"y has length {y.shape[0]} but A has {m} rows")
-        if self.Q is None:
-            Q = np.eye(m)
-        else:
-            Q = _as_float_array(self.Q, "Q", 2)
-            if Q.shape != (m, m):
-                raise ValueError(f"Q has shape {Q.shape}, expected {(m, m)}")
-            check_spd(Q, "Q")
         b = None
         if self.b is not None:
             b = _as_float_array(self.b, "b", 1)
@@ -151,8 +163,7 @@ class EstimatorConfig:
     rank_tolerance: float = DEFAULT_RANK_TOL
 
     def __post_init__(self):
-        if not (np.isfinite(self.gamma) and self.gamma > 0):
-            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
+        _check_gamma(self.gamma)
         if int(self.n_states) != self.n_states or self.n_states < 1:
             raise ValueError(f"n_states must be an integer >= 1, got {self.n_states}")
         object.__setattr__(self, "n_states", int(self.n_states))
@@ -210,26 +221,6 @@ class LambdaDecomposition:
     @property
     def image_dim(self) -> int:
         return self.image_basis.shape[1]
-
-
-def _validate_aq(A, Q) -> tuple[np.ndarray, np.ndarray]:
-    A = _as_float_array(A, "A", 2)
-    m = A.shape[0]
-    if Q is None:
-        Q = np.eye(m)
-    else:
-        Q = _as_float_array(Q, "Q", 2)
-        if Q.shape != (m, m):
-            raise ValueError(f"Q has shape {Q.shape}, expected {(m, m)}")
-        check_spd(Q, "Q")
-    return A, Q
-
-
-def _check_gamma(gamma: float) -> float:
-    gamma = float(gamma)
-    if not (np.isfinite(gamma) and gamma > 0):
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
-    return gamma
 
 
 def information_matrix(A, Q=None) -> np.ndarray:

@@ -13,7 +13,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 import numpy as np
 
 from .analysis import BoundReport, SystemEnsemble
-from .estimator import EstimatorState, MeasurementBatch
+from .estimator import MeasurementBatch
 from .simulation import McSummary, NoiseModel, RunResult, ScenarioConfig
 
 __all__ = [
@@ -24,11 +24,9 @@ __all__ = [
     "write_batches_jsonl",
     "write_estimates_header",
     "write_estimates_row",
-    "write_estimates_csv",
     "write_mc_summary_csv",
     "write_sweep_csv",
     "write_bounds_csv",
-    "write_bound_curve_csv",
     "write_run_results_jsonl",
     "scenario_to_dict",
     "scenario_from_dict",
@@ -105,15 +103,6 @@ def write_estimates_row(fobj: TextIO, t: int, x_hat: np.ndarray) -> None:
     fobj.write("\n")
 
 
-def write_estimates_csv(states: Sequence[EstimatorState], fobj: TextIO) -> None:
-    """Estimate trajectory as CSV; rows for every state with t >= 1."""
-    rows = [s for s in states if s.t >= 1]
-    n = rows[0].x_hat.shape[0] if rows else (states[0].x_hat.shape[0] if states else 0)
-    write_estimates_header(fobj, n)
-    for state in rows:
-        write_estimates_row(fobj, state.t, state.x_hat)
-
-
 def write_mc_summary_csv(summary: McSummary, fobj: TextIO) -> None:
     fobj.write("t,mean_error,rms_error\n")
     for t in range(len(summary.mean_error)):
@@ -141,13 +130,6 @@ def write_bounds_csv(gammas: Sequence[float], h_b: Sequence[float], h_s: Sequenc
     fobj.write("gamma,h_b,h_s\n")
     for g, hb, hs in zip(gammas, h_b, h_s):
         fobj.write(f"{format_float(g)},{format_float(hb)},{format_float(hs)}\n")
-
-
-def write_bound_curve_csv(gammas: Sequence[float], values: Sequence[float], fobj: TextIO) -> None:
-    """Single bound curve as `gamma,h_value` rows."""
-    fobj.write("gamma,h_value\n")
-    for g, v in zip(gammas, values):
-        fobj.write(f"{format_float(g)},{format_float(v)}\n")
 
 
 def write_run_results_jsonl(results: Iterable[RunResult], fobj: TextIO) -> None:

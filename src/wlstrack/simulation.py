@@ -19,12 +19,13 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Sequence
+from itertools import repeat
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .analysis import SystemEnsemble
-from .estimator import EstimatorConfig, MeasurementBatch, initial_state, update
+from .estimator import EstimatorConfig, MeasurementBatch, _check_gamma, initial_state, update
 
 __all__ = [
     "NoiseModel",
@@ -39,6 +40,8 @@ __all__ = [
     "build_ensemble",
     "seed_for_run",
     "simulate_run",
+    "iter_runs",
+    "summarize",
     "monte_carlo",
 ]
 
@@ -131,8 +134,7 @@ class ScenarioConfig:
             raise ValueError(f"delta_x must be nonnegative and finite, got {self.delta_x}")
         if not isinstance(self.noise, NoiseModel):
             raise ValueError("noise must be a NoiseModel")
-        if not (np.isfinite(self.gamma) and self.gamma > 0):
-            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
+        _check_gamma(self.gamma)
         if int(self.seed) != self.seed:
             raise ValueError(f"seed must be an integer, got {self.seed}")
         object.__setattr__(self, "seed", int(self.seed))
@@ -254,19 +256,6 @@ def generate_sequence(
         raise ValueError(f"library of {size} members cannot fill a window of {k} without repeats")
 
     rank_cache: dict[tuple, bool] = {}
-
-    def window_full_rank(key: tuple) -> bool:
-        cached = rank_cache.get(key)
-        if cached is None:
-            stacked = np.vstack([ensemble.members[i][0] for i in key])
-            s = np.linalg.svd(stacked, compute_uv=False)
-            cached = bool(
-                s.size >= ensemble.n_states
-                and s[ensemble.n_states - 1] > ensemble.rank_tolerance * s[0]
-            )
-            rank_cache[key] = cached
-        return cached
-
     indices: list[int] = []
     max_attempts = 1000 * size
     for pos in range(horizon):
@@ -275,7 +264,9 @@ def generate_sequence(
             cand = int(rng.integers(0, size))
             if cand in forbidden:
                 continue
-            if pos >= k - 1 and not window_full_rank(tuple(indices[pos - k + 1 :] + [cand])):
+            if pos >= k - 1 and not ensemble.window_full_rank(
+                tuple(indices[pos - k + 1 :] + [cand]), rank_cache
+            ):
                 continue
             indices.append(cand)
             break
@@ -395,13 +386,50 @@ def simulate_run(
     )
 
 
-def _mc_task(args):
-    scenario, seed, member_sequence, track = args
-    result = simulate_run(
-        scenario, seed, member_sequence=member_sequence, keep_details=track
+def iter_runs(
+    scenario: ScenarioConfig,
+    n_jobs: int = 1,
+    member_sequence: Sequence[int] | None = None,
+    keep_details: bool = False,
+) -> Iterator[RunResult]:
+    """simulate_run for runs 0 .. scenario.n_runs - 1, yielded in run order.
+
+    The library is built once and shared by every run.  With n_jobs > 1 the
+    runs execute in a process pool; run i still uses seed_for_run(scenario, i),
+    so the results are identical for every n_jobs.  Serially, each run is
+    simulated only when the consumer asks for it.
+    """
+    sc = scenario
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
+    seq = None if member_sequence is None else np.asarray(member_sequence, dtype=int)
+    seeds = [seed_for_run(sc, i) for i in range(sc.n_runs)]
+    args = (repeat(sc), seeds, repeat(build_ensemble(sc)), repeat(seq), repeat(keep_details))
+    if n_jobs == 1 or sc.n_runs == 1:
+        yield from map(simulate_run, *args)
+    else:
+        chunk = max(1, sc.n_runs // (4 * n_jobs))
+        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+            yield from pool.map(simulate_run, *args, chunksize=chunk)
+
+
+def summarize(norms: Sequence[np.ndarray], xi: Sequence[np.ndarray] | None = None) -> McSummary:
+    """Per-step statistics of per-run error norms, and of the per-run error
+    vectors xi (horizon x n_states each) when given."""
+    norms = np.stack(norms)  # (n_runs, horizon)
+    cov = None
+    cov_frob = None
+    if xi is not None:
+        xi = np.stack(xi)  # (n_runs, horizon, n_states)
+        centered = xi - xi.mean(axis=0)
+        cov = np.einsum("rtn,rtm->tnm", centered, centered) / (xi.shape[0] - 1)
+        cov_frob = np.linalg.norm(cov, axis=(1, 2))
+    return McSummary(
+        mean_error=norms.mean(axis=0),
+        rms_error=np.sqrt((norms**2).mean(axis=0)),
+        empirical_cov_frob=cov_frob,
+        empirical_cov=cov,
     )
-    xi = (result.estimates - result.states)[1:] if track else None
-    return result.per_step_error, xi
 
 
 def monte_carlo(
@@ -418,35 +446,11 @@ def monte_carlo(
     accumulates the cross-run sample covariance of the error vector at every
     step (requires n_runs >= 2).
     """
-    sc = scenario
-    if track_covariance and sc.n_runs < 2:
+    if track_covariance and scenario.n_runs < 2:
         raise ValueError("track_covariance requires n_runs >= 2")
-    if n_jobs < 1:
-        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
-    seq = None if member_sequence is None else np.asarray(member_sequence, dtype=int)
-    tasks = [
-        (sc, seed_for_run(sc, i), seq, track_covariance) for i in range(sc.n_runs)
-    ]
-    if n_jobs == 1 or sc.n_runs == 1:
-        outputs = [_mc_task(t) for t in tasks]
-    else:
-        chunk = max(1, sc.n_runs // (4 * n_jobs))
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            outputs = list(pool.map(_mc_task, tasks, chunksize=chunk))
-
-    norms = np.stack([out[0] for out in outputs])  # (n_runs, horizon)
-    mean_error = norms.mean(axis=0)
-    rms_error = np.sqrt((norms**2).mean(axis=0))
-    cov = None
-    cov_frob = None
-    if track_covariance:
-        xi = np.stack([out[1] for out in outputs])  # (n_runs, horizon, n_states)
-        centered = xi - xi.mean(axis=0)
-        cov = np.einsum("rtn,rtm->tnm", centered, centered) / (sc.n_runs - 1)
-        cov_frob = np.linalg.norm(cov, axis=(1, 2))
-    return McSummary(
-        mean_error=mean_error,
-        rms_error=rms_error,
-        empirical_cov_frob=cov_frob,
-        empirical_cov=cov,
-    )
+    norms, xi = [], []
+    for run in iter_runs(scenario, n_jobs, member_sequence, keep_details=track_covariance):
+        norms.append(run.per_step_error)
+        if track_covariance:
+            xi.append((run.estimates - run.states)[1:])
+    return summarize(norms, xi if track_covariance else None)

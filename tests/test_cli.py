@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from wlstrack.cli import main
@@ -68,6 +69,49 @@ def test_simulate_dump_runs(tmp_path):
     assert len(record["per_step_error"]) == 4
 
 
+def simulate_with_dumps(tmp_path, cfg, tag, *extra):
+    """Run simulate with every dump flag; return the four output files' bytes."""
+    names = ("summary.csv", "meas.jsonl", "est.csv", "runs.jsonl")
+    paths = [tmp_path / f"{tag}_{name}" for name in names]
+    argv = ["simulate", cfg, str(paths[0]), "--dump-measurements", str(paths[1]),
+            "--dump-estimates", str(paths[2]), "--dump-runs", str(paths[3]), *extra]
+    assert main(argv) == 0
+    return [path.read_bytes() for path in paths]
+
+
+def test_simulate_dumps_do_not_depend_on_jobs(tmp_path):
+    cfg = write_json(tmp_path / "sc.json", minimal_scenario(n_runs=5, horizon=6))
+    assert simulate_with_dumps(tmp_path, cfg, "serial", "--jobs", "1") == simulate_with_dumps(
+        tmp_path, cfg, "pooled", "--jobs", "2"
+    )
+
+
+def test_simulate_dump_runs_are_the_summarized_runs(tmp_path):
+    cfg = write_json(tmp_path / "sc.json", minimal_scenario(n_runs=5, horizon=6))
+    summary, _, _, runs = simulate_with_dumps(tmp_path, cfg, "a")
+    per_step = np.array([json.loads(line)["per_step_error"] for line in runs.decode().splitlines()])
+    mean_column = [float(row.split(",")[1]) for row in summary.decode().splitlines()[1:]]
+    assert per_step.shape == (5, 6)
+    assert per_step.mean(axis=0).tolist() == mean_column
+
+
+def test_simulate_runs_each_run_once(tmp_path, monkeypatch):
+    from wlstrack import simulation
+
+    calls = []
+    original = simulation.simulate_run
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(simulation, "simulate_run", counting)
+    cfg = write_json(tmp_path / "sc.json", minimal_scenario(n_runs=4, horizon=5))
+    simulate_with_dumps(tmp_path, cfg, "a", "--jobs", "1")
+    assert len(calls) == 4
+    assert len(set(calls)) == 4
+
+
 # --------------------------------------------------------------------- sweep
 
 def test_sweep_single_gamma_matches_simulate(tmp_path):
@@ -117,6 +161,18 @@ def test_bounds_grid_from_scenario(tmp_path):
     assert len(lines) == 26
     gammas = [float(line.split(",")[0]) for line in lines[1:]]
     assert gammas == sorted(gammas)
+
+
+@pytest.mark.parametrize(
+    "bad, message", [(["--tau", "0"], "tau"), (["--tau", "-3"], "tau"), (["--delta-x", "0"], "delta_x")]
+)
+def test_bounds_invalid_input_exits_2_and_writes_nothing(tmp_path, capsys, bad, message):
+    ens = write_json(tmp_path / "ens.json", {"n_states": 1, "members": [{"A": [[1.0]]}]})
+    out = tmp_path / "bounds.csv"
+    assert main(["bounds", ens, str(out), "--gamma-grid", "0.1", "1", "3", *bad]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "bounds.csv.report.json").exists()
 
 
 def test_bounds_rank_deficient_member_exits_3(tmp_path, capsys):

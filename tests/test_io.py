@@ -90,12 +90,6 @@ def test_sweep_csv_header_and_columns():
     assert buf.getvalue().splitlines()[1] == "1,2,4"
 
 
-def test_bound_curve_csv():
-    buf = stdio.StringIO()
-    wio.write_bound_curve_csv([0.5, 1.0], [3.0, 4.0], buf)
-    assert buf.getvalue().splitlines() == ["gamma,h_value", "0.5,3", "1,4"]
-
-
 def test_scenario_round_trip():
     sc = ScenarioConfig(
         n_states=4, n_meas=2, horizon=10, library_size=3, delta_x=1.0,
@@ -134,11 +128,9 @@ def test_ensemble_from_dict():
 
 
 def test_estimates_csv_writer():
-    from wlstrack.estimator import EstimatorState, initial_state
-
-    states = [initial_state(2), EstimatorState(np.array([0.5, -1.0]), 1)]
     buf = stdio.StringIO()
-    wio.write_estimates_csv(states, buf)
+    wio.write_estimates_header(buf, 2)
+    wio.write_estimates_row(buf, 1, np.array([0.5, -1.0]))
     lines = buf.getvalue().splitlines()
     assert lines[0] == "t,x_hat_1,x_hat_2"
     assert lines[1] == "1,0.5,-1"
