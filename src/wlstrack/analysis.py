@@ -26,7 +26,7 @@ the time-varying sequence is drawn from.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -37,6 +37,7 @@ from .estimator import (
     MeasurementBatch,
     _as_float_array,
     _check_gamma,
+    _gain_and_step,
     _solve_spd,
     _validate_aq,
     information_matrix,
@@ -52,6 +53,7 @@ __all__ = [
     "smallest_nonzero_eig",
     "observability_window",
     "psi",
+    "psi_from_lambda_bar",
     "ensemble_constants",
     "bound_finite_bounded",
     "bound_series_bounded",
@@ -195,12 +197,15 @@ def smallest_nonzero_eig(A, Q=None, rank_tolerance: float = DEFAULT_RANK_TOL) ->
     return float(nonzero[0])
 
 
-def _member_lambda1(ensemble: SystemEnsemble, index: int) -> float:
-    A, Q = ensemble.members[index]
-    try:
-        return smallest_nonzero_eig(A, Q, ensemble.rank_tolerance)
-    except np.linalg.LinAlgError:
-        raise np.linalg.LinAlgError(f"ensemble member {index} has numerical rank 0") from None
+def _lambda_bar(ensemble: SystemEnsemble) -> float:
+    """Smallest nonzero eigenvalue of A^T Q^{-1} A over the members."""
+    lam1 = []
+    for index, (A, Q) in enumerate(ensemble.members):
+        try:
+            lam1.append(smallest_nonzero_eig(A, Q, ensemble.rank_tolerance))
+        except np.linalg.LinAlgError:
+            raise np.linalg.LinAlgError(f"ensemble member {index} has numerical rank 0") from None
+    return min(lam1)
 
 
 def observability_window(sequence: Sequence[int], ensemble: SystemEnsemble, max_window: int | None = None):
@@ -241,11 +246,15 @@ def psi(ensemble: SystemEnsemble, gamma: float) -> float:
 
     This is the contraction rate of any fully-observing window of step
     matrices; it is strictly below 1 whenever every member has at least one
-    nonzero eigenvalue.
+    nonzero eigenvalue.  The factor is monotone in lambda_1_i under rounding,
+    so this equals psi_from_lambda_bar(gamma, lambda_bar) bit for bit.
     """
-    gamma = _check_gamma(gamma)
-    lam1 = [_member_lambda1(ensemble, i) for i in range(len(ensemble.members))]
-    return float(max(gamma / (gamma + l1) for l1 in lam1))
+    return psi_from_lambda_bar(_check_gamma(gamma), _lambda_bar(ensemble))
+
+
+def psi_from_lambda_bar(gamma: float, lambda_bar: float) -> float:
+    """gamma / (gamma + lambda_bar): psi of an ensemble with that lambda_bar."""
+    return gamma / (gamma + lambda_bar)
 
 
 def ensemble_constants(ensemble: SystemEnsemble) -> EnsembleConstants:
@@ -256,13 +265,11 @@ def ensemble_constants(ensemble: SystemEnsemble) -> EnsembleConstants:
     capital_c:  largest ||A^T (x) A^T||_F, which equals ||A||_F^2.
     m:          largest ||Q^{-1}||_F (the noise covariance is taken as Q).
     """
-    lambda_bar = min(_member_lambda1(ensemble, i) for i in range(len(ensemble.members)))
+    lambda_bar = _lambda_bar(ensemble)
     c = 0.0
     capital_c = 0.0
     m = 0.0
     for A, Q in ensemble.members:
-        if A.shape[0] == 0:
-            continue
         G = _solve_spd(Q, A)  # Q^{-1} A; its spectral norm equals ||A^T Q^{-1}||
         c = max(c, float(np.linalg.norm(G, 2)))
         capital_c = max(capital_c, float(np.linalg.norm(A) ** 2))
@@ -271,15 +278,19 @@ def ensemble_constants(ensemble: SystemEnsemble) -> EnsembleConstants:
     return EnsembleConstants(float(lambda_bar), c, capital_c, m)
 
 
+def _check_tau(tau) -> int:
+    if int(tau) != tau or tau < 1:
+        raise ValueError(f"tau must be an integer >= 1, got {tau}")
+    return int(tau)
+
+
 def _check_bound_args(T: int, tau: int, psi_value: float) -> tuple[int, int, float]:
     if int(T) != T or T < 1:
         raise ValueError(f"T must be an integer >= 1, got {T}")
-    if int(tau) != tau or tau < 1:
-        raise ValueError(f"tau must be an integer >= 1, got {tau}")
     psi_value = float(psi_value)
     if not (0.0 <= psi_value < 1.0):
         raise ValueError(f"psi must lie in [0, 1), got {psi_value}")
-    return int(T), int(tau), psi_value
+    return int(T), _check_tau(tau), psi_value
 
 
 def _per_step_array(per_step, T: int) -> np.ndarray:
@@ -336,6 +347,7 @@ def h_bounded(gamma, tau, delta_x, c, delta_n, lambda_bar) -> float:
         tau * (delta_x + c * delta_n / gamma) * (1 + gamma / lambda_bar)
     """
     gamma = _check_gamma(gamma)
+    tau = _check_tau(tau)
     return float(tau * (delta_x + c * delta_n / gamma) * (1.0 + gamma / lambda_bar))
 
 
@@ -354,6 +366,12 @@ def gamma_star_bounded(c, lambda_bar, delta_n, delta_x) -> float:
     return float(np.sqrt(c * lambda_bar * delta_n / delta_x))
 
 
+def _covariance_step(sigma: np.ndarray, batch: MeasurementBatch, gamma: float):
+    """L and L sigma L^T + K Q K^T for the batch's gain K and step matrix L."""
+    K, lam = _gain_and_step(batch.A, batch.Q, gamma)
+    return lam, lam @ sigma @ lam.T + K @ batch.Q @ K.T
+
+
 def propagate_error_moments(
     moments: ErrorMoments, batch: MeasurementBatch, delta, gamma: float
 ) -> ErrorMoments:
@@ -362,7 +380,9 @@ def propagate_error_moments(
     With the noise covariance equal to the weighting matrix Q,
 
         mu'    = L (mu - delta)
-        sigma' = L sigma L^T + (1/gamma^2) L (A^T Q^{-1} A) L^T.
+        sigma' = L sigma L^T + (1/gamma^2) L (A^T Q^{-1} A) L^T = L sigma L^T + K Q K^T,
+
+    with the estimator's gain K (L = I - K A).
     """
     gamma = _check_gamma(gamma)
     delta = _as_float_array(delta, "delta", 1)
@@ -373,43 +393,32 @@ def propagate_error_moments(
         raise ValueError(f"A has {batch.n_states} columns, expected {n}")
     if batch.t != moments.t + 1:
         raise ValueError(f"non-sequential step: moments at t={moments.t}, batch has t={batch.t}")
-    lam = lambda_matrix(batch.A, batch.Q, gamma)
-    J = information_matrix(batch.A, batch.Q)
-    mu = lam @ (moments.mu - delta)
-    sigma = lam @ moments.sigma @ lam.T + (lam @ J @ lam.T) / gamma**2
-    return ErrorMoments(mu, 0.5 * (sigma + sigma.T), batch.t)
+    lam, sigma = _covariance_step(moments.sigma, batch, gamma)
+    return ErrorMoments(lam @ (moments.mu - delta), 0.5 * (sigma + sigma.T), batch.t)
 
 
 def vectorized_sigma_step(sigma_vec, batch: MeasurementBatch, gamma: float) -> np.ndarray:
     """One covariance step on the flattened covariance sigma_vec = vec(Sigma):
 
-        sigma' = F sigma + (1/gamma^2) F C m,
-        F = L (x) L,  C = A^T (x) A^T,  m = vec(Q^{-1}).
+        sigma' = F sigma + (K (x) K) vec(Q),  F = L (x) L,
+
+    with the estimator's gain K.  The noise term equals (1/gamma^2) F C m,
+    C = A^T (x) A^T, m = vec(Q^{-1}).
 
     vec() is the row-major flatten; for symmetric Sigma this coincides with
     the column-stacked convention.  For more than KRONECKER_MAX_STATES states
-    the N^2 x N^2 matrices are not materialized and the equivalent matrix
-    recursion L Sigma L^T + (1/gamma^2) L A^T Q^{-1} A L^T is used instead.
+    the N^2 x N^2 matrices are not materialized and the covariance step of
+    propagate_error_moments is used instead.
     """
     gamma = _check_gamma(gamma)
     v = _as_float_array(sigma_vec, "sigma_vec", 1)
     n = batch.n_states
     if v.shape[0] != n * n:
         raise ValueError(f"sigma_vec has length {v.shape[0]}, expected {n * n}")
-    lam = lambda_matrix(batch.A, batch.Q, gamma)
-    if n <= KRONECKER_MAX_STATES:
-        F = np.kron(lam, lam)
-        if batch.n_meas == 0:
-            noise = np.zeros(n * n)
-        else:
-            C = np.kron(batch.A.T, batch.A.T)
-            m_vec = _solve_spd(batch.Q, np.eye(batch.n_meas)).reshape(-1)
-            noise = F @ (C @ m_vec) / gamma**2
-        return F @ v + noise
-    sigma = v.reshape(n, n)
-    J = information_matrix(batch.A, batch.Q)
-    out = lam @ sigma @ lam.T + (lam @ J @ lam.T) / gamma**2
-    return out.reshape(-1)
+    if n > KRONECKER_MAX_STATES:
+        return _covariance_step(v.reshape(n, n), batch, gamma)[1].reshape(-1)
+    K, lam = _gain_and_step(batch.A, batch.Q, gamma)
+    return np.kron(lam, lam) @ v + np.kron(K, K) @ batch.Q.reshape(-1)
 
 
 def bound_finite_stochastic(T, tau, psi_value, xi0_norm, sigma0_frob, per_step, gamma=None):
@@ -445,6 +454,7 @@ def h_stochastic(gamma, tau, capital_c, m, delta_x, lambda_bar) -> float:
         tau * sqrt(C^2 m^2 / gamma^4 + delta_x^2) * (1 + gamma / lambda_bar)
     """
     gamma = _check_gamma(gamma)
+    tau = _check_tau(tau)
     return float(
         tau * np.sqrt((capital_c * m) ** 2 / gamma**4 + delta_x**2) * (1.0 + gamma / lambda_bar)
     )
@@ -468,6 +478,7 @@ def gamma_star_stochastic(
     bracket around the sampled minimum down to `tolerance`.  Otherwise the
     argmin of a dense log-spaced grid is returned and a warning issued.
     """
+    tau = _check_tau(tau)
     lo, hi = float(search_interval[0]), float(search_interval[1])
     if not (0 < lo < hi):
         raise ValueError(f"search_interval must satisfy 0 < lo < hi, got {search_interval}")
@@ -560,22 +571,7 @@ class BoundReport:
     gamma_star: float
 
     def to_dict(self) -> dict:
-        return {
-            "tau": self.tau,
-            "psi": self.psi,
-            "lambda_bar": self.lambda_bar,
-            "c": self.c,
-            "capital_c": self.capital_c,
-            "m": self.m,
-            "delta_x": self.delta_x,
-            "delta_n": self.delta_n,
-            "gamma": self.gamma,
-            "h_b": self.h_b,
-            "h_mu": self.h_mu,
-            "h_sigma": self.h_sigma,
-            "h_s": self.h_s,
-            "gamma_star": self.gamma_star,
-        }
+        return asdict(self)
 
 
 def bound_report(
@@ -588,14 +584,13 @@ def bound_report(
     search_interval=(1e-3, 1e3),
 ) -> BoundReport:
     """Evaluate every bound at one gamma and attach the optimal gamma for the mode."""
-    if int(tau) != tau or tau < 1:
-        raise ValueError(f"tau must be an integer >= 1, got {tau}")
+    tau = _check_tau(tau)
     gamma = _check_gamma(gamma)
     if noise_mode not in ("bounded", "gaussian"):
         raise ValueError(f"noise_mode must be 'bounded' or 'gaussian', got {noise_mode!r}")
     consts = ensemble_constants(ensemble)
-    psi_value = psi(ensemble, gamma)
     lb = consts.lambda_bar
+    psi_value = psi_from_lambda_bar(gamma, lb)
     h_b = h_bounded(gamma, tau, delta_x, consts.c, delta_n, lb)
     h_mu = float(tau * delta_x * (1.0 + gamma / lb))
     h_sigma = float(tau * consts.capital_c * consts.m / gamma**2 * (1.0 + gamma / lb))
@@ -607,7 +602,7 @@ def bound_report(
             tau, consts.capital_c, consts.m, delta_x, lb, search_interval
         )
     return BoundReport(
-        tau=int(tau),
+        tau=tau,
         psi=psi_value,
         lambda_bar=lb,
         c=consts.c,

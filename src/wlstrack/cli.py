@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import sys
 
@@ -38,12 +39,14 @@ def _probe_tau(scenario: simulation.ScenarioConfig, ensemble) -> int:
     """Observability window of the first run's member sequence."""
     run0 = simulation.seed_for_run(scenario, 0)
     sequence = simulation.generate_sequence(
-        ensemble,
-        scenario.horizon,
-        scenario.sequence_policy,
-        simulation.derive_seed(run0, 0),
-        window=scenario.effective_window if scenario.sequence_policy == "window" else None,
+        ensemble, scenario.horizon, scenario.sequence_policy, simulation.derive_seed(run0, 0),
+        scenario.effective_window,
     )
+    return _sequence_tau(sequence, ensemble)
+
+
+def _sequence_tau(sequence, ensemble) -> int:
+    """Observability window of a member sequence; raises when there is none."""
     tau = analysis.observability_window(sequence, ensemble)
     if tau is None:
         raise np.linalg.LinAlgError(
@@ -84,21 +87,22 @@ def _dump_run0(args, scenario, ensemble, run0) -> None:
 def cmd_simulate(args) -> int:
     scenario = _load_scenario(args.config)
     ensemble = simulation.build_ensemble(scenario)
-    tau = _probe_tau(scenario, ensemble)
-    psi_value = analysis.psi(ensemble, scenario.gamma)
+    # One pass feeds every output; tau comes from run 0 before any file is opened.
+    keep_details = bool(args.dump_measurements or args.dump_estimates)
+    runs = simulation.iter_runs(scenario, n_jobs=args.jobs, keep_details=keep_details)
+    run0 = next(runs)
+    tau = _sequence_tau(run0.member_indices, ensemble)
     consts = analysis.ensemble_constants(ensemble)
+    psi_value = analysis.psi_from_lambda_bar(scenario.gamma, consts.lambda_bar)
     print(
         f"# psi={psi_value:.6g} tau={tau} lambda_bar={consts.lambda_bar:.6g} c={consts.c:.6g}",
         file=sys.stderr,
     )
-    # One pass over the runs feeds the summary, run 0's dumps and --dump-runs.
-    keep_details = bool(args.dump_measurements or args.dump_estimates)
+    _dump_run0(args, scenario, ensemble, run0)
     norms = []
     runs_file = open(args.dump_runs, "w", encoding="utf-8") if args.dump_runs else contextlib.nullcontext()
     with runs_file as runs_out:
-        for run in simulation.iter_runs(scenario, n_jobs=args.jobs, keep_details=keep_details):
-            if keep_details and not norms:
-                _dump_run0(args, scenario, ensemble, run)
+        for run in itertools.chain([run0], runs):
             norms.append(run.per_step_error)
             if runs_out:
                 io.write_run_results_jsonl([run], runs_out)
@@ -208,7 +212,6 @@ def cmd_replay(args) -> int:
             raise ValueError(f"could not parse --x0 {args.x0!r}") from None
     state: EstimatorState | None = None
     config = None
-    header_written = False
     with open(args.measurements, "r", encoding="utf-8") as src, open(
         args.out, "w", encoding="utf-8"
     ) as dst:
@@ -220,7 +223,6 @@ def cmd_replay(args) -> int:
                 state = initial_state(n, x0)
                 config = EstimatorConfig(args.gamma, n)
                 io.write_estimates_header(dst, n)
-                header_written = True
             if batch.t <= state.t:
                 raise ValueError(
                     f"t regression: batch t={batch.t} after t={state.t} (input must be strictly increasing)"
@@ -230,7 +232,7 @@ def cmd_replay(args) -> int:
                 state = EstimatorState(state.x_hat, batch.t - 1)
             state = update(state, batch, config)
             io.write_estimates_row(dst, state.t, state.x_hat)
-        if not header_written:
+        if state is None:
             if x0 is not None:
                 io.write_estimates_header(dst, len(x0))
             else:

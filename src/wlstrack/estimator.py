@@ -18,6 +18,9 @@ unchanged (eigenvalue 1); observed directions are pulled toward the data with
 a factor gamma / (gamma + lambda_i), where lambda_i are the nonzero
 eigenvalues of the information matrix ``A^T Q^{-1} A``.
 
+The step is computed in gain form x_new = x_prev + K (y - A x_prev), factoring
+the smaller of the M x M and N x N positive definite systems (see _gain).
+
 The inertia weight ``gamma`` trades responsiveness for noise rejection:
 small gamma follows new data aggressively, large gamma trusts the previous
 estimate.
@@ -94,9 +97,41 @@ def _check_gamma(gamma: float) -> float:
 
 def _solve_spd(Q: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Q^{-1} B for symmetric positive definite Q, via Cholesky."""
-    if Q.shape[0] == 0:
-        return np.zeros_like(B)
     return cho_solve(cho_factor(Q, lower=True), B)
+
+
+def _gain(A: np.ndarray, Q: np.ndarray, gamma: float):
+    """N x M gain K = L A^T Q^{-1} / gamma of the step x + K (y - b - A x), and
+    the Cholesky factor of A^T Q^{-1} A + gamma I when that is what was factored.
+
+    With M < N it factors S = Q + A A^T / gamma (M x M); A^T Q^{-1} A + gamma I
+    is then numerically singular once gamma << ||A||^2.  With M >= N it factors
+    A^T Q^{-1} A + gamma I (N x N) instead, since S is singular once M > N.
+    """
+    m, n = A.shape
+    if m < n:
+        return _solve_spd(Q + (A @ A.T) / gamma, A).T / gamma, None
+    W = _solve_spd(Q, A)  # Q^{-1} A
+    factor = cho_factor(A.T @ W + gamma * np.eye(n), lower=True)
+    return cho_solve(factor, W.T), factor
+
+
+def _gain_and_step(A: np.ndarray, Q: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """K and the symmetrized step matrix L for already validated A, Q and gamma.
+
+    L is gamma (A^T Q^{-1} A + gamma I)^{-1} from the N x N factor when there is
+    one (it stays positive definite when gamma << ||A||^2), else I - K A.
+    """
+    K, factor = _gain(A, Q, gamma)
+    n = A.shape[1]
+    lam = np.eye(n) - K @ A if factor is None else cho_solve(factor, gamma * np.eye(n))
+    return K, 0.5 * (lam + lam.T)
+
+
+def _information(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """A^T Q^{-1} A, symmetrized, for already validated A and Q."""
+    J = A.T @ _solve_spd(Q, A)
+    return 0.5 * (J + J.T)
 
 
 @dataclass(frozen=True)
@@ -226,27 +261,19 @@ class LambdaDecomposition:
 def information_matrix(A, Q=None) -> np.ndarray:
     """A^T Q^{-1} A: the positive semidefinite matrix whose nonzero spectrum
     determines how strongly each observed direction is corrected."""
-    A, Q = _validate_aq(A, Q)
-    n = A.shape[1]
-    if A.shape[0] == 0:
-        return np.zeros((n, n))
-    J = A.T @ _solve_spd(Q, A)
-    return 0.5 * (J + J.T)
+    return _information(*_validate_aq(A, Q))
 
 
 def lambda_matrix(A, Q, gamma: float) -> np.ndarray:
-    """Step matrix gamma * (A^T Q^{-1} A + gamma I)^{-1}.
+    """Step matrix gamma * (A^T Q^{-1} A + gamma I)^{-1} (I - K A when M < N).
 
     Symmetric positive definite with spectral norm <= 1.  Its eigenvalues are
     1 on the kernel of A and gamma / (gamma + lambda_i) on the observed
-    directions.
+    directions; when M < N those below rounding of 1 are not resolved.
     """
     gamma = _check_gamma(gamma)
     A, Q = _validate_aq(A, Q)
-    n = A.shape[1]
-    J = information_matrix(A, Q)
-    lam = cho_solve(cho_factor(J + gamma * np.eye(n), lower=True), gamma * np.eye(n))
-    return 0.5 * (lam + lam.T)
+    return _gain_and_step(A, Q, gamma)[1]
 
 
 def decompose_lambda(A, Q, gamma: float, rank_tolerance: float = DEFAULT_RANK_TOL) -> LambdaDecomposition:
@@ -258,13 +285,12 @@ def decompose_lambda(A, Q, gamma: float, rank_tolerance: float = DEFAULT_RANK_TO
     """
     gamma = _check_gamma(gamma)
     A, Q = _validate_aq(A, Q)
-    J = information_matrix(A, Q)
-    evals, evecs = np.linalg.eigh(J)
+    evals, evecs = np.linalg.eigh(_information(A, Q))
     evals = np.clip(evals, 0.0, None)
     cutoff = rank_tolerance * evals[-1] if evals.size else 0.0
     nonzero = evals > cutoff
     return LambdaDecomposition(
-        lambda_matrix=lambda_matrix(A, Q, gamma),
+        lambda_matrix=_gain_and_step(A, Q, gamma)[1],
         nonzero_eigs=evals[nonzero],
         kernel_basis=evecs[:, ~nonzero],
         image_basis=evecs[:, nonzero],
@@ -285,20 +311,13 @@ def _check_step(state: EstimatorState, batch: MeasurementBatch, config: Estimato
 def update(state: EstimatorState, batch: MeasurementBatch, config: EstimatorConfig) -> EstimatorState:
     """Advance the estimate with one measurement batch.
 
-    Solves (A^T Q^{-1} A + gamma I) x = gamma x_prev + A^T Q^{-1} (y - b)
-    through a symmetric positive definite factorization; equivalent to the
-    closed form with the step matrix, without forming any explicit inverse.
+    Solves (A^T Q^{-1} A + gamma I) x = gamma x_prev + A^T Q^{-1} (y - b) in
+    gain form x_prev + K (y - b - A x_prev), factoring the smaller SPD system
+    (see _gain) without forming any explicit inverse.
     """
     _check_step(state, batch, config)
-    if batch.n_meas == 0:
-        return EstimatorState(state.x_hat.copy(), batch.t)
-    gamma = config.gamma
-    A = batch.A
-    W = _solve_spd(batch.Q, A)  # Q^{-1} A
-    J = A.T @ W
-    rhs = gamma * state.x_hat + W.T @ batch.effective_y()
-    H = J + gamma * np.eye(config.n_states)
-    x_new = cho_solve(cho_factor(0.5 * (H + H.T), lower=True), rhs)
+    K = _gain(batch.A, batch.Q, config.gamma)[0]
+    x_new = state.x_hat + K @ (batch.effective_y() - batch.A @ state.x_hat)
     return EstimatorState(x_new, batch.t)
 
 
@@ -313,8 +332,6 @@ def update_gradient_form(
     of the closed form.
     """
     _check_step(state, batch, config)
-    if batch.n_meas == 0:
-        return EstimatorState(state.x_hat.copy(), batch.t)
     lam = lambda_matrix(batch.A, batch.Q, config.gamma)
     residual = batch.A @ state.x_hat - batch.effective_y()
     grad = batch.A.T @ _solve_spd(batch.Q, residual)

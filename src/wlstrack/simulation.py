@@ -169,7 +169,7 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class RunResult:
-    """One simulated run: per-step error norms plus optional raw recordings."""
+    """One simulated run: per-step error norms, member sequence, optional recordings."""
 
     per_step_error: np.ndarray
     final_state: np.ndarray
@@ -340,16 +340,15 @@ def simulate_run(
 
     The run derives three independent sub-streams from run_seed (member
     sequence, trajectory, noise).  Passing member_sequence pins the sequence,
-    e.g. to share one measurement schedule across runs.  keep_details also
-    records states, estimates, increments and noises for later analysis.
+    e.g. to share one measurement schedule across runs.  The sequence is always
+    recorded; keep_details also records states, estimates, increments, noises.
     """
     sc = scenario
     if ensemble is None:
         ensemble = build_ensemble(sc)
     if member_sequence is None:
         sequence = generate_sequence(
-            ensemble, sc.horizon, sc.sequence_policy, derive_seed(run_seed, 0),
-            window=sc.effective_window if sc.sequence_policy == "window" else None,
+            ensemble, sc.horizon, sc.sequence_policy, derive_seed(run_seed, 0), sc.effective_window
         )
     else:
         sequence = np.asarray(member_sequence, dtype=int)
@@ -378,7 +377,7 @@ def simulate_run(
         final_state=states[-1].copy(),
         final_estimate=est.x_hat.copy(),
         seed_used=int(run_seed),
-        member_indices=sequence if keep_details else None,
+        member_indices=sequence,
         states=states if keep_details else None,
         estimates=estimates,
         deltas=deltas if keep_details else None,

@@ -117,6 +117,9 @@ def test_psi_experiment_ensemble():
         for A, Q in ens.members
     )
     assert value == pytest.approx(worst, rel=1e-12)
+    # psi is computed from lambda_bar alone; the factor is monotone under
+    # rounding, so it equals the per-member maximum bit for bit.
+    assert value == max(0.25 / (0.25 + smallest_nonzero_eig(A, Q)) for A, Q in ens.members)
 
 
 def test_psi_rank_zero_member_raises():
@@ -289,9 +292,19 @@ def test_vectorized_zero_matrix_keeps_sigma():
 
 
 def test_vectorized_matches_matrix_recursion():
+    check_vectorized_matches_matrix_recursion(0.6, 1.0)
+
+
+def test_vectorized_matches_matrix_recursion_with_gamma_far_below_norm_squared():
+    # The Kronecker noise term is (K (x) K) vec(Q); written as L J L^T / gamma^2
+    # it would amplify the rounding of L by 1 / gamma^2.
+    check_vectorized_matches_matrix_recursion(1e-8, 1e4)
+
+
+def check_vectorized_matches_matrix_recursion(gamma, scale):
     rng = np.random.default_rng(4)
-    n, m, gamma = 4, 2, 0.6
-    A = rng.standard_normal((m, n))
+    n, m = 4, 2
+    A = rng.standard_normal((m, n)) * scale
     Q = random_spd(rng, m)
     batch = MeasurementBatch(1, np.zeros(m), A, Q)
     sigma = random_spd(rng, n, shift=1.0)
@@ -371,6 +384,20 @@ def test_h_stochastic_reduces_without_noise():
 
 def test_h_stochastic_unit_example():
     assert h_stochastic(1.0, 1, 1.0, 1.0, 1.0, 1.0) == pytest.approx(2 * np.sqrt(2.0))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: h_bounded(1, 0, 1, 1, 1, 1),
+        lambda: h_stochastic(1, -3, 1, 1, 1, 1),
+        lambda: gamma_star_stochastic(0, 1, 1, 1, 1),
+    ],
+    ids=["h_bounded", "h_stochastic", "gamma_star_stochastic"],
+)
+def test_tau_below_one_is_rejected(call):
+    with pytest.raises(ValueError, match="tau must be an integer >= 1"):
+        call()
 
 
 # ------------------------------------------------------ gamma_star_stochastic

@@ -5,6 +5,8 @@ import pytest
 
 from wlstrack.cli import main
 
+from helpers import rel_err
+
 
 def write_json(path, payload):
     path.write_text(json.dumps(payload))
@@ -110,6 +112,37 @@ def test_simulate_runs_each_run_once(tmp_path, monkeypatch):
     simulate_with_dumps(tmp_path, cfg, "a", "--jobs", "1")
     assert len(calls) == 4
     assert len(set(calls)) == 4
+
+
+def test_simulate_generates_each_member_sequence_once(tmp_path, monkeypatch):
+    # tau comes from run 0's recorded sequence, not from drawing it again.
+    from wlstrack import simulation
+
+    calls = []
+    original = simulation.generate_sequence
+
+    def counting(*args, **kwargs):
+        calls.append(args[3])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(simulation, "generate_sequence", counting)
+    cfg = write_json(tmp_path / "sc.json", minimal_scenario(n_runs=4, horizon=5))
+    simulate_with_dumps(tmp_path, cfg, "a", "--jobs", "1")
+    assert len(calls) == 4
+    assert len(set(calls)) == 4
+
+
+def test_simulate_without_observability_window_exits_3_and_writes_nothing(tmp_path, capsys):
+    # One rank-1 member for two states: no window of the sequence observes the state.
+    cfg = write_json(
+        tmp_path / "sc.json", minimal_scenario(library_size=1, sequence_policy="uniform")
+    )
+    outputs = [tmp_path / name for name in ("mc.csv", "meas.jsonl", "est.csv", "runs.jsonl")]
+    argv = ["simulate", cfg, str(outputs[0]), "--dump-measurements", str(outputs[1])]
+    argv += ["--dump-estimates", str(outputs[2]), "--dump-runs", str(outputs[3])]
+    assert main(argv) == 3
+    assert "joint full rank" in capsys.readouterr().err
+    assert not any(path.exists() for path in outputs)
 
 
 # --------------------------------------------------------------------- sweep
@@ -294,6 +327,26 @@ def test_replay_round_trip_reproduces_simulation(tmp_path):
     )
     assert main(["replay", str(meas), str(replayed), "--gamma", "0.5"]) == 0
     assert replayed.read_bytes() == est.read_bytes()
+
+
+@pytest.mark.parametrize("gamma", ["1e-08", "1e-10"])
+def test_replay_with_gamma_far_below_norm_squared(tmp_path, gamma):
+    # 3 measurements of 15 states with ||A||^2 ~ 1e9: the information form
+    # J + gamma I is numerically singular, the innovation form is not.
+    rng = np.random.default_rng(43)
+    x_true = rng.standard_normal(15)
+    matrices = [rng.standard_normal((3, 15)) * 1e4 for _ in range(5)]
+    src = tmp_path / "meas.jsonl"
+    src.write_text(
+        "".join(batch_line(t, (A @ x_true).tolist(), A.tolist()) + "\n" for t, A in enumerate(matrices, 1))
+    )
+    out = tmp_path / "est.csv"
+    assert main(["replay", str(src), str(out), "--gamma", gamma]) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert rows.shape == (5, 16)
+    # With gamma this small, each estimate fits its own batch's data.
+    for A, row in zip(matrices, rows):
+        assert rel_err(A @ row[1:], A @ x_true) < 1e-8
 
 
 # -------------------------------------------------------------------- verify

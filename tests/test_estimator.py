@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wlstrack.estimator import (
     EstimatorConfig,
@@ -323,6 +325,125 @@ def test_kernel_equivalence():
     for _ in range(5):
         u = dec.image_basis @ rng.standard_normal(dec.image_dim)
         assert np.linalg.norm(J @ u) > 1e-8 * np.linalg.norm(u)
+
+
+# ------------------------------------------- step kernel across scales (gain form)
+
+def normal_equation_residual(x_prev, y, A, Q, gamma, x_new):
+    """Residual of (J + gamma I) x_new = gamma x_prev + A^T Q^{-1} y, relative
+    to the size of its terms, computed with an explicit inverse of Q."""
+    Qi = np.linalg.inv(Q)
+    J = A.T @ Qi @ A
+    rhs_data = A.T @ Qi @ y
+    residual = J @ x_new + gamma * x_new - gamma * x_prev - rhs_data
+    scale = (np.linalg.norm(J, 2) + gamma) * np.linalg.norm(x_new)
+    scale += np.linalg.norm(gamma * x_prev) + np.linalg.norm(rhs_data)
+    return float(np.linalg.norm(residual) / scale)
+
+
+def kernel_leak(A, x_prev, x_new):
+    """Component of the step in ker A, relative to the two estimates."""
+    kernel = np.linalg.svd(A)[2][A.shape[0]:].T
+    step = kernel.T @ (x_new - x_prev)
+    return float(np.linalg.norm(step) / (np.linalg.norm(x_prev) + np.linalg.norm(x_new)))
+
+
+def spectrum_slack(A, Q):
+    """Rounding allowance for the eigenvalues of I - K A: a small multiple of
+    eps times a bound on the condition number of the factored matrix."""
+    kappa = np.linalg.cond(A) ** 2 * np.linalg.cond(Q)
+    return 8 * A.shape[1] * np.finfo(float).eps * kappa
+
+
+def one_step(x_prev, y, A, Q, gamma):
+    n = A.shape[1]
+    return update(EstimatorState(x_prev, 0), MeasurementBatch(1, y, A, Q), EstimatorConfig(gamma, n)).x_hat
+
+
+@pytest.mark.parametrize("gamma", [1e-8, 1e-10])
+def test_update_and_lambda_with_gamma_far_below_norm_squared(gamma):
+    # J + gamma I is numerically singular here (3 measurements, 15 states,
+    # ||A||^2 ~ 1e9); the step factors Q + A A^T / gamma instead.
+    rng = np.random.default_rng(41)
+    A = rng.standard_normal((3, 15)) * 1e4
+    Q = random_spd(rng, 3)
+    x_prev = rng.standard_normal(15)
+    y = A @ rng.standard_normal(15)
+    x_new = one_step(x_prev, y, A, Q, gamma)
+    assert normal_equation_residual(x_prev, y, A, Q, gamma, x_new) <= 1e-12
+    assert kernel_leak(A, x_prev, x_new) <= 1e-8
+    assert np.linalg.norm(A @ x_new - y) <= 1e-6 * np.linalg.norm(y)
+    lam = lambda_matrix(A, Q, gamma)
+    eigs = np.linalg.eigvalsh(lam)
+    assert np.sum(eigs > 1 - 1e-10) == 12
+    assert eigs.min() >= -spectrum_slack(A, Q) and eigs.max() <= 1 + spectrum_slack(A, Q)
+
+
+def test_update_more_measurements_than_states_matches_dense_oracle():
+    # M > N: Q + A A^T / gamma is singular, so this case needs the N x N form.
+    rng = np.random.default_rng(42)
+    A = rng.standard_normal((5, 3)) * 1e4
+    Q = random_spd(rng, 5)
+    x_prev = rng.standard_normal(3)
+    y = A @ rng.standard_normal(3) + rng.standard_normal(5)
+    x_new = one_step(x_prev, y, A, Q, 1e-8)
+    assert rel_err(x_new, dense_update_oracle(x_prev, y, A, Q, 1e-8)) <= 1e-12
+
+
+def test_lambda_positive_definite_with_more_measurements_and_gamma_far_below_norm_squared():
+    # M >= N: L = gamma (J + gamma I)^{-1} comes from the Cholesky factor of
+    # J + gamma I, so its eigenvalues gamma / (gamma + lambda_i) ~ 1e-18 stay
+    # positive; I - K A would lose them to rounding.
+    rng = np.random.default_rng(1)
+    A = rng.standard_normal((27, 27)) * 1e7
+    Q = random_spd(rng, 27)
+    eigs = np.linalg.eigvalsh(lambda_matrix(A, Q, 1e-4))
+    assert eigs.min() > 0 and eigs.max() <= 1
+
+
+@st.composite
+def step_problems(draw, wide=False):
+    """(x_prev, y, A, Q, gamma) with gamma and ||A|| from 1e-8 to 1e8, Gaussian A,
+    random SPD Q, and M, N from 1 to 30 (M < N when wide)."""
+    n = draw(st.integers(2 if wide else 1, 30))
+    m = draw(st.integers(1, n - 1 if wide else 30))
+    gamma = 10.0 ** draw(st.floats(-8, 8))
+    scale = 10.0 ** draw(st.floats(-8, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.standard_normal((m, n)) * scale
+    Q = random_spd(rng, m)
+    x_prev = rng.standard_normal(n)
+    y = A @ rng.standard_normal(n) + scale * rng.standard_normal(m)
+    return x_prev, y, A, Q, gamma
+
+
+@given(step_problems())
+def test_property_update_solves_normal_equations(problem):
+    x_prev, y, A, Q, gamma = problem
+    x_new = one_step(x_prev, y, A, Q, gamma)
+    assert normal_equation_residual(x_prev, y, A, Q, gamma, x_new) <= 1e-12
+
+
+@given(step_problems(wide=True))
+def test_property_update_leaves_kernel_unchanged(problem):
+    x_prev, y, A, Q, gamma = problem
+    assert kernel_leak(A, x_prev, one_step(x_prev, y, A, Q, gamma)) <= 1e-8
+
+
+@given(step_problems())
+def test_property_lambda_symmetric_with_spectrum_in_unit_interval(problem):
+    _, _, A, Q, gamma = problem
+    lam = lambda_matrix(A, Q, gamma)
+    assert np.array_equal(lam, lam.T)
+    eigs = np.linalg.eigvalsh(lam)
+    if A.shape[0] >= A.shape[1]:
+        # The upper allowance is the eigensolver's own rounding near 1.
+        assert eigs.min() > 0 and eigs.max() <= 1 + A.shape[1] * np.finfo(float).eps
+    else:
+        # I - K A keeps unit eigenvalues on ker A, so observed-direction
+        # eigenvalues below its rounding level are not resolved.
+        slack = spectrum_slack(A, Q)
+        assert eigs.min() >= -slack and eigs.max() <= 1 + slack
 
 
 # ------------------------------------------------------------ type validation
