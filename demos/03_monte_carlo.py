@@ -6,7 +6,7 @@ tiny weights chase the noise, large weights lag the moving state.  Also
 demonstrates seed reproducibility and the covariance tracker against the
 exact covariance propagation.
 
-Run:  python demos/03_monte_carlo.py   (about half a minute)
+Run:  python demos/03_monte_carlo.py   (about 3 seconds on a 2-core machine)
 """
 
 import numpy as np
@@ -50,7 +50,7 @@ print()
 print("=== reproducibility ===")
 a = monte_carlo(scenario, n_jobs=1)
 b = monte_carlo(scenario, n_jobs=2)
-print(f"serial and 2-process runs bit-identical: "
+print(f"n_jobs=1 and n_jobs=2 runs bit-identical: "
       f"{np.array_equal(a.mean_error, b.mean_error)}")
 # run seeds depend only on (scenario seed, run index), so growing n_runs
 # leaves the earlier runs untouched

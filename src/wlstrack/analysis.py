@@ -26,7 +26,7 @@ the time-varying sequence is drawn from.
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -37,6 +37,7 @@ from .estimator import (
     MeasurementBatch,
     _as_float_array,
     _check_gamma,
+    _gain,
     _gain_and_step,
     _solve_spd,
     _validate_aq,
@@ -80,11 +81,16 @@ class SystemEnsemble:
     All members share the state dimension; each Q must be symmetric positive
     definite.  Worst-case constants over time (psi, lambda_bar, c, C, m) are
     maxima or minima over this list.
+
+    The members are stored as read-only copies, so results derived from them
+    (window ranks, member gains, ensemble_constants) are memoized on the
+    instance.
     """
 
     members: tuple
     n_states: int
     rank_tolerance: float = DEFAULT_RANK_TOL
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if int(self.n_states) != self.n_states or self.n_states < 1:
@@ -94,8 +100,7 @@ class SystemEnsemble:
             raise ValueError("rank_tolerance must be positive and finite")
         members = []
         for i, pair in enumerate(self.members):
-            A, Q = pair
-            A, Q = _validate_aq(A, Q)
+            A, Q = (_read_only_copy(M) for M in _validate_aq(*pair))
             if A.shape[1] != self.n_states:
                 raise ValueError(
                     f"member {i}: A has {A.shape[1]} columns, expected {self.n_states}"
@@ -112,21 +117,42 @@ class SystemEnsemble:
         A, Q = self.members[index]
         return lambda_matrix(A, Q, gamma)
 
-    def window_full_rank(self, window: tuple, cache: dict) -> bool:
+    def member_gains(self, gamma: float) -> np.ndarray:
+        """Every member's step gain K_i of estimator.update at this gamma,
+        stacked into a read-only L x N x M array (the members must share M).
+        Memoized per gamma."""
+        gamma = _check_gamma(gamma)
+        key = ("gains", gamma)
+        gains = self._memo.get(key)
+        if gains is None:
+            gains = _read_only_copy(np.stack([_gain(A, Q, gamma)[0] for A, Q in self.members]))
+            self._memo[key] = gains
+        return gains
+
+    def window_full_rank(self, window: Sequence[int]) -> bool:
         """Whether the members listed in `window`, stacked vertically, have
         full column rank, i.e. jointly observe the whole state.
 
-        The stacked kernel is the intersection of the members' kernels.
-        Results are memoized in `cache`, keyed by the window tuple.
+        The stacked kernel is the intersection of the members' kernels, and
+        the rank does not depend on the row order, so the result is memoized
+        by the window's multiset of members and the SVD is taken in sorted
+        member order.
         """
-        good = cache.get(window)
+        key = ("rank", tuple(sorted(window)))
+        good = self._memo.get(key)
         if good is None:
-            stacked = np.vstack([self.members[i][0] for i in window])
+            stacked = np.vstack([self.members[i][0] for i in key[1]])
             s = np.linalg.svd(stacked, compute_uv=False)
             n = self.n_states
             good = bool(s.size >= n and s[n - 1] > self.rank_tolerance * s[0])
-            cache[window] = good
+            self._memo[key] = good
         return good
+
+
+def _read_only_copy(M: np.ndarray) -> np.ndarray:
+    M = np.array(M)
+    M.flags.writeable = False
+    return M
 
 
 class EnsembleConstants(NamedTuple):
@@ -197,17 +223,6 @@ def smallest_nonzero_eig(A, Q=None, rank_tolerance: float = DEFAULT_RANK_TOL) ->
     return float(nonzero[0])
 
 
-def _lambda_bar(ensemble: SystemEnsemble) -> float:
-    """Smallest nonzero eigenvalue of A^T Q^{-1} A over the members."""
-    lam1 = []
-    for index, (A, Q) in enumerate(ensemble.members):
-        try:
-            lam1.append(smallest_nonzero_eig(A, Q, ensemble.rank_tolerance))
-        except np.linalg.LinAlgError:
-            raise np.linalg.LinAlgError(f"ensemble member {index} has numerical rank 0") from None
-    return min(lam1)
-
-
 def observability_window(sequence: Sequence[int], ensemble: SystemEnsemble, max_window: int | None = None):
     """Smallest tau such that every tau consecutive matrices of the sequence
     jointly observe the full state.
@@ -227,14 +242,13 @@ def observability_window(sequence: Sequence[int], ensemble: SystemEnsemble, max_
     prefix = np.concatenate([[0], np.cumsum(rows)])
     horizon = len(seq)
     hi = horizon if max_window is None else min(int(max_window), horizon)
-    cache: dict[tuple, bool] = {}
     for tau in range(1, hi + 1):
         # A window with fewer rows than columns can never have full column rank.
         window_rows = prefix[tau:] - prefix[:-tau]
         if window_rows.min() < n:
             continue
         if all(
-            ensemble.window_full_rank(tuple(seq[start : start + tau]), cache)
+            ensemble.window_full_rank(seq[start : start + tau])
             for start in range(horizon - tau + 1)
         ):
             return tau
@@ -249,7 +263,7 @@ def psi(ensemble: SystemEnsemble, gamma: float) -> float:
     nonzero eigenvalue.  The factor is monotone in lambda_1_i under rounding,
     so this equals psi_from_lambda_bar(gamma, lambda_bar) bit for bit.
     """
-    return psi_from_lambda_bar(_check_gamma(gamma), _lambda_bar(ensemble))
+    return psi_from_lambda_bar(_check_gamma(gamma), ensemble_constants(ensemble).lambda_bar)
 
 
 def psi_from_lambda_bar(gamma: float, lambda_bar: float) -> float:
@@ -264,8 +278,21 @@ def ensemble_constants(ensemble: SystemEnsemble) -> EnsembleConstants:
     c:          largest spectral norm of A^T Q^{-1}.
     capital_c:  largest ||A^T (x) A^T||_F, which equals ||A||_F^2.
     m:          largest ||Q^{-1}||_F (the noise covariance is taken as Q).
+
+    Computed once per ensemble instance and memoized on it.
     """
-    lambda_bar = _lambda_bar(ensemble)
+    if "constants" not in ensemble._memo:
+        ensemble._memo["constants"] = _ensemble_constants(ensemble)
+    return ensemble._memo["constants"]
+
+
+def _ensemble_constants(ensemble: SystemEnsemble) -> EnsembleConstants:
+    lam1 = []
+    for index, (A, Q) in enumerate(ensemble.members):
+        try:
+            lam1.append(smallest_nonzero_eig(A, Q, ensemble.rank_tolerance))
+        except np.linalg.LinAlgError:
+            raise np.linalg.LinAlgError(f"ensemble member {index} has numerical rank 0") from None
     c = 0.0
     capital_c = 0.0
     m = 0.0
@@ -275,7 +302,7 @@ def ensemble_constants(ensemble: SystemEnsemble) -> EnsembleConstants:
         capital_c = max(capital_c, float(np.linalg.norm(A) ** 2))
         q_inv = _solve_spd(Q, np.eye(Q.shape[0]))
         m = max(m, float(np.linalg.norm(q_inv)))
-    return EnsembleConstants(float(lambda_bar), c, capital_c, m)
+    return EnsembleConstants(float(min(lam1)), c, capital_c, m)
 
 
 def _check_tau(tau) -> int:

@@ -25,6 +25,11 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
+JOBS_HELP = (
+    "accepted for compatibility (an integer >= 1); the runs are stepped together in one "
+    "process, so the count does not change the execution, and results never depended on it"
+)
+
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fobj:
@@ -89,7 +94,9 @@ def cmd_simulate(args) -> int:
     ensemble = simulation.build_ensemble(scenario)
     # One pass feeds every output; tau comes from run 0 before any file is opened.
     keep_details = bool(args.dump_measurements or args.dump_estimates)
-    runs = simulation.iter_runs(scenario, n_jobs=args.jobs, keep_details=keep_details)
+    runs = simulation.iter_runs(
+        scenario, n_jobs=args.jobs, keep_details=keep_details, ensemble=ensemble
+    )
     run0 = next(runs)
     tau = _sequence_tau(run0.member_indices, ensemble)
     consts = analysis.ensemble_constants(ensemble)
@@ -114,9 +121,7 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     scenario = _load_scenario(args.config)
     gammas = _parse_gammas(args.gammas)
-    summaries = [
-        simulation.monte_carlo(scenario.with_gamma(g), n_jobs=args.jobs) for g in gammas
-    ]
+    summaries = simulation.sweep(scenario, gammas, n_jobs=args.jobs)
     use_rms = scenario.noise.kind == "gaussian"
     with open(args.out, "w", encoding="utf-8") as fobj:
         io.write_sweep_csv(gammas, summaries, fobj, use_rms=use_rms)
@@ -260,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a Monte Carlo scenario, write per-step error CSV")
     p.add_argument("config", help="scenario JSON path")
     p.add_argument("out", help="output CSV path (t,mean_error,rms_error)")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for the Monte Carlo runs")
+    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p.add_argument("--dump-measurements", help="also dump run 0's measurement batches as JSON-lines")
     p.add_argument("--dump-estimates", help="also dump run 0's estimate trajectory as CSV")
     p.add_argument("--dump-runs", help="also dump every run's error trajectory as JSON-lines")
@@ -270,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", help="scenario JSON path")
     p.add_argument("gammas", help="comma-separated gamma values")
     p.add_argument("out", help="output CSV path (t,err_gamma_<g>,...)")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("bounds", help="evaluate the error bounds over a gamma grid")

@@ -107,13 +107,26 @@ def _gain(A: np.ndarray, Q: np.ndarray, gamma: float):
     With M < N it factors S = Q + A A^T / gamma (M x M); A^T Q^{-1} A + gamma I
     is then numerically singular once gamma << ||A||^2.  With M >= N it factors
     A^T Q^{-1} A + gamma I (N x N) instead, since S is singular once M > N.
+    K is C-contiguous in both cases, so that _advance runs the same BLAS kernel
+    on it as on a row of a stack of gains.
     """
     m, n = A.shape
     if m < n:
         return _solve_spd(Q + (A @ A.T) / gamma, A).T / gamma, None
     W = _solve_spd(Q, A)  # Q^{-1} A
     factor = cho_factor(A.T @ W + gamma * np.eye(n), lower=True)
-    return cho_solve(factor, W.T), factor
+    return np.ascontiguousarray(cho_solve(factor, W.T)), factor
+
+
+def _advance(x: np.ndarray, K: np.ndarray, A: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x + K (y - A x) for one run, or for a stack of runs along leading axes
+    (x: ... x N, K: ... x N x M, A: ... x M x N, y: ... x M).
+
+    Every run's products go through BLAS matrix-vector calls of its own, so a
+    run's result does not depend on which runs it is stacked with.
+    """
+    residual = y - (A @ x[..., None])[..., 0]
+    return x + (K @ residual[..., None])[..., 0]
 
 
 def _gain_and_step(A: np.ndarray, Q: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
@@ -317,8 +330,7 @@ def update(state: EstimatorState, batch: MeasurementBatch, config: EstimatorConf
     """
     _check_step(state, batch, config)
     K = _gain(batch.A, batch.Q, config.gamma)[0]
-    x_new = state.x_hat + K @ (batch.effective_y() - batch.A @ state.x_hat)
-    return EstimatorState(x_new, batch.t)
+    return EstimatorState(_advance(state.x_hat, K, batch.A, batch.effective_y()), batch.t)
 
 
 def update_gradient_form(

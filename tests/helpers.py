@@ -63,3 +63,17 @@ def rel_err(actual, expected):
     actual = np.asarray(actual, dtype=float)
     expected = np.asarray(expected, dtype=float)
     return float(np.linalg.norm(actual - expected) / max(np.linalg.norm(expected), 1.0))
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap owner.name so that each call's positional arguments are recorded;
+    return the (growing) list of records."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls

@@ -28,6 +28,7 @@ from wlstrack.simulation import generate_library
 from helpers import (
     closed_form_covariance,
     closed_form_mean,
+    count_calls,
     random_spd,
     rel_err,
     unit_frobenius,
@@ -155,6 +156,41 @@ def test_constants_experiment_unit_frobenius():
     assert consts.capital_c == pytest.approx(1.0, abs=1e-12)  # ||A||_F = 1 by construction
     assert consts.m == pytest.approx(np.sqrt(3.0), abs=1e-12)  # ||I_3||_F
     assert 0 < consts.lambda_bar < consts.c <= 1.0
+
+
+def test_constants_are_computed_once_per_ensemble(monkeypatch):
+    calls = count_calls(monkeypatch, analysis, "smallest_nonzero_eig")
+    ens = experiment_ensemble()
+    first = ensemble_constants(ens)
+    analysis.bound_report(ens, 5, 0.25, 1.0, 1.0)
+    psi(ens, 0.25)
+    assert ensemble_constants(ens) is first
+    assert len(calls) == len(ens)
+
+
+def test_ensemble_members_are_read_only_copies():
+    A, Q = np.array([[1.0, 2.0]]), np.array([[2.0]])
+    ens = SystemEnsemble(((A, Q),), 2)
+    before = ensemble_constants(ens)
+    A[0, 0] = 100.0
+    Q[0, 0] = 50.0
+    assert np.array_equal(ens.members[0][0], [[1.0, 2.0]])
+    assert np.array_equal(ens.members[0][1], [[2.0]])
+    for M in ens.members[0]:
+        with pytest.raises(ValueError):
+            M[0, 0] = 0.0
+    assert ensemble_constants(SystemEnsemble(((A, Q),), 2)) != before
+
+
+def test_window_rank_is_memoized_by_member_multiset(monkeypatch):
+    ens = experiment_ensemble()
+    calls = count_calls(monkeypatch, np.linalg, "svd")
+    assert ens.window_full_rank([4, 0, 2, 9, 7])
+    assert ens.window_full_rank((0, 2, 4, 7, 9))
+    assert ens.window_full_rank([9, 7, 4, 2, 0])
+    assert not ens.window_full_rank([1, 2])
+    assert not ens.window_full_rank([2, 1])
+    assert len(calls) == 2
 
 
 # -------------------------------------------------------------- finite bounds

@@ -5,7 +5,7 @@ import pytest
 
 from wlstrack.cli import main
 
-from helpers import rel_err
+from helpers import count_calls, rel_err
 
 
 def write_json(path, payload):
@@ -98,20 +98,33 @@ def test_simulate_dump_runs_are_the_summarized_runs(tmp_path):
 
 
 def test_simulate_runs_each_run_once(tmp_path, monkeypatch):
+    # Each run's trajectory is drawn once, from its own seed.
     from wlstrack import simulation
 
-    calls = []
-    original = simulation.simulate_run
-
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(simulation, "simulate_run", counting)
+    calls = count_calls(monkeypatch, simulation, "generate_trajectory")
     cfg = write_json(tmp_path / "sc.json", minimal_scenario(n_runs=4, horizon=5))
     simulate_with_dumps(tmp_path, cfg, "a", "--jobs", "1")
     assert len(calls) == 4
-    assert len(set(calls)) == 4
+    assert len({args[3] for args in calls}) == 4
+
+
+def test_simulate_builds_the_library_once(tmp_path, monkeypatch):
+    from wlstrack import simulation
+
+    calls = count_calls(monkeypatch, simulation, "generate_library")
+    cfg = write_json(tmp_path / "sc.json", minimal_scenario(n_runs=4, horizon=5))
+    simulate_with_dumps(tmp_path, cfg, "a")
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_jobs_zero_exits_2_and_writes_nothing(tmp_path, capsys, command):
+    cfg = write_json(tmp_path / "sc.json", minimal_scenario())
+    out = tmp_path / "out.csv"
+    argv = [command, cfg, *(["0.5"] if command == "sweep" else []), str(out), "--jobs", "0"]
+    assert main(argv) == 2
+    assert "n_jobs" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_generates_each_member_sequence_once(tmp_path, monkeypatch):

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
-from wlstrack import analysis
+from wlstrack import analysis, simulation
 from wlstrack.analysis import ErrorMoments, observability_window, propagate_error_moments, psi
-from wlstrack.estimator import MeasurementBatch
+from wlstrack.estimator import EstimatorConfig, MeasurementBatch, initial_state, run_stream
 from wlstrack.simulation import (
     NoiseModel,
     ScenarioConfig,
@@ -13,12 +15,13 @@ from wlstrack.simulation import (
     generate_noise,
     generate_sequence,
     generate_trajectory,
+    iter_runs,
     monte_carlo,
     seed_for_run,
     simulate_run,
 )
 
-from helpers import rel_err
+from helpers import count_calls, rel_err
 
 
 def small_scenario(**overrides):
@@ -357,3 +360,99 @@ def test_scenario_validation():
 def test_track_covariance_needs_two_runs():
     with pytest.raises(ValueError):
         monte_carlo(small_scenario(n_runs=1), track_covariance=True)
+
+
+# ----------------------------------------------------------------- lockstep engine
+
+def update_fold(sc, ensemble, run):
+    """Estimates of one recorded run, refolded through estimator.update."""
+    batches = []
+    for t, index in enumerate(run.member_indices, start=1):
+        A, Q = ensemble.members[index]
+        batches.append(MeasurementBatch(t, A @ run.states[t] + run.noises[t - 1], A, Q))
+    fold = run_stream(initial_state(sc.n_states, sc.x_hat0), batches, EstimatorConfig(sc.gamma, sc.n_states))
+    return np.stack([state.x_hat for state in fold])
+
+
+@pytest.mark.parametrize("gamma", [1e-8, 0.25, 2.0])
+def test_lockstep_runs_equal_update_fold_bitwise(gamma):
+    sc = small_scenario(n_runs=7, horizon=25, gamma=gamma, x_hat0=(0.1, -0.2, 0.3, 0.0))
+    ens = build_ensemble(sc)
+    runs = list(iter_runs(sc, keep_details=True))
+    assert len(runs) == 7
+    for run in runs:
+        estimates = update_fold(sc, ens, run)
+        assert np.array_equal(run.estimates, estimates)
+        errors = [np.linalg.norm(est - x) for est, x in zip(estimates[1:], run.states[1:])]
+        assert np.array_equal(run.per_step_error, errors)
+        assert np.array_equal(run.final_estimate, estimates[-1])
+
+
+def assert_runs_equal(a, b):
+    for field in ("per_step_error", "final_state", "final_estimate", "member_indices",
+                  "states", "estimates", "deltas", "noises"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+    assert a.seed_used == b.seed_used
+
+
+def test_lockstep_runs_do_not_depend_on_block_size(monkeypatch):
+    sc = small_scenario(n_runs=7)
+    reference = list(iter_runs(sc, keep_details=True))
+    monkeypatch.setattr(simulation, "BLOCK_RUNS", 3)
+    blocked = list(iter_runs(sc, keep_details=True))
+    assert len(blocked) == 7
+    for a, b in zip(reference, blocked):
+        assert_runs_equal(a, b)
+    for i, run in enumerate(blocked):
+        assert_runs_equal(run, simulate_run(sc, seed_for_run(sc, i), keep_details=True))
+
+
+def test_lockstep_earlier_runs_do_not_change_when_n_runs_grows():
+    few = list(iter_runs(small_scenario(n_runs=3), keep_details=True))
+    many = list(iter_runs(small_scenario(n_runs=simulation.BLOCK_RUNS + 5), keep_details=True))
+    for a, b in zip(few, many):
+        assert_runs_equal(a, b)
+
+
+def test_sweep_columns_equal_monte_carlo_bitwise():
+    sc = small_scenario(n_runs=6)
+    gammas = [0.1, 0.5, 2.0]
+    summaries = simulation.sweep(sc, gammas, track_covariance=True)
+    for gamma, summary in zip(gammas, summaries):
+        single = monte_carlo(sc.with_gamma(gamma), track_covariance=True)
+        assert np.array_equal(summary.mean_error, single.mean_error)
+        assert np.array_equal(summary.rms_error, single.rms_error)
+        assert np.array_equal(summary.empirical_cov, single.empirical_cov)
+
+
+def test_sweep_draws_each_run_once(monkeypatch):
+    calls = count_calls(monkeypatch, simulation, "generate_sequence")
+    simulation.sweep(small_scenario(n_runs=5), [0.1, 0.5, 2.0])
+    assert len(calls) == 5
+    assert len({args[3] for args in calls}) == 5
+
+
+def test_jobs_must_be_a_positive_integer():
+    sc = small_scenario()
+    for bad in (0, -1, 1.5):
+        with pytest.raises(ValueError, match="n_jobs"):
+            monte_carlo(sc, n_jobs=bad)
+        with pytest.raises(ValueError, match="n_jobs"):
+            next(iter_runs(sc, n_jobs=bad))
+
+
+def test_shared_rank_memo_draws_the_same_sequences(monkeypatch):
+    # Window ranks are memoized per ensemble by member multiset; sequences
+    # drawn through one shared ensemble equal those drawn through a fresh
+    # one each, and the shared ensemble takes at most C(L, k) SVDs.
+    sc = ScenarioConfig(
+        n_states=15, n_meas=3, horizon=100, library_size=10, delta_x=1.0,
+        noise=NoiseModel("bounded", 1.0), gamma=0.25, n_runs=100, seed=20260808,
+    )
+    seeds = [derive_seed(seed_for_run(sc, i), 0) for i in range(sc.n_runs)]
+    fresh = [generate_sequence(build_ensemble(sc), sc.horizon, "window", s, 5) for s in seeds]
+    svd_calls = count_calls(monkeypatch, np.linalg, "svd")
+    shared = build_ensemble(sc)
+    for seed, expected in zip(seeds, fresh):
+        assert np.array_equal(generate_sequence(shared, sc.horizon, "window", seed, 5), expected)
+    assert 0 < len(svd_calls) <= math.comb(10, 5)
