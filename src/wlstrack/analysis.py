@@ -39,11 +39,13 @@ from .estimator import (
     _check_gamma,
     _gain,
     _gain_and_step,
-    _solve_spd,
+    _spectral_rank,
+    _step_matrix,
     _validate_aq,
-    information_matrix,
-    lambda_matrix,
+    _whitened_svd,
+    _Whitened,
 )
+from .estimator import information_matrix, lambda_matrix  # noqa: F401  (span slots in perfbench/spans.py)
 
 __all__ = [
     "SystemEnsemble",
@@ -83,8 +85,8 @@ class SystemEnsemble:
     maxima or minima over this list.
 
     The members are stored as read-only copies, so results derived from them
-    (window ranks, member gains, ensemble_constants) are memoized on the
-    instance.
+    (window ranks, member SVDs and gains, ensemble_constants) are memoized on
+    the instance.
     """
 
     members: tuple
@@ -114,19 +116,24 @@ class SystemEnsemble:
         return len(self.members)
 
     def member_lambda(self, index: int, gamma: float) -> np.ndarray:
-        A, Q = self.members[index]
-        return lambda_matrix(A, Q, gamma)
+        return _step_matrix(self._member_svds()[index], _check_gamma(gamma))
+
+    def _member_svds(self) -> tuple:
+        """Every member's whitened SVD (see estimator._whitened_svd), memoized."""
+        if "svd" not in self._memo:
+            self._memo["svd"] = tuple(_whitened_svd(A, Q) for A, Q in self.members)
+        return self._memo["svd"]
 
     def member_gains(self, gamma: float) -> np.ndarray:
         """Every member's step gain K_i of estimator.update at this gamma,
         stacked into a read-only L x N x M array (the members must share M).
-        Memoized per gamma."""
+        Memoized per gamma; every gamma reads the same member SVDs."""
         gamma = _check_gamma(gamma)
         key = ("gains", gamma)
         gains = self._memo.get(key)
         if gains is None:
-            gains = _read_only_copy(np.stack([_gain(A, Q, gamma)[0] for A, Q in self.members]))
-            self._memo[key] = gains
+            gains = np.stack([_gain(w, gamma) for w in self._member_svds()])
+            gains = self._memo[key] = _read_only_copy(gains)
         return gains
 
     def window_full_rank(self, window: Sequence[int]) -> bool:
@@ -207,20 +214,17 @@ def kernel_basis(A, rank_tolerance: float = DEFAULT_RANK_TOL) -> np.ndarray:
 
 
 def smallest_nonzero_eig(A, Q=None, rank_tolerance: float = DEFAULT_RANK_TOL) -> float:
-    """Smallest nonzero eigenvalue lambda_1 of A^T Q^{-1} A.
+    """Smallest nonzero eigenvalue lambda_1 of A^T Q^{-1} A: the smallest squared
+    singular value of the whitened C^{-1} A (Q = C C^T) above rank_tolerance times
+    the largest.  Raises numpy.linalg.LinAlgError when there is none."""
+    return _lambda_1(_whitened_svd(*_validate_aq(A, Q)), rank_tolerance)
 
-    Raises numpy.linalg.LinAlgError when A has numerical rank zero (then no
-    nonzero eigenvalue exists).
-    """
-    J = information_matrix(A, Q)
-    evals = np.clip(np.linalg.eigvalsh(J), 0.0, None)
-    cutoff = rank_tolerance * evals[-1] if evals.size else 0.0
-    nonzero = evals[evals > cutoff]
-    if nonzero.size == 0:
-        raise np.linalg.LinAlgError(
-            "matrix has numerical rank 0; smallest nonzero eigenvalue undefined"
-        )
-    return float(nonzero[0])
+
+def _lambda_1(w: _Whitened, rank_tolerance: float, name: str = "matrix") -> float:
+    rank = _spectral_rank(w, rank_tolerance)
+    if rank == 0:
+        raise np.linalg.LinAlgError(f"{name} has numerical rank 0; smallest nonzero eigenvalue undefined")
+    return float(w.sigma[rank - 1] ** 2)
 
 
 def observability_window(sequence: Sequence[int], ensemble: SystemEnsemble, max_window: int | None = None):
@@ -288,19 +292,12 @@ def ensemble_constants(ensemble: SystemEnsemble) -> EnsembleConstants:
 
 def _ensemble_constants(ensemble: SystemEnsemble) -> EnsembleConstants:
     lam1 = []
-    for index, (A, Q) in enumerate(ensemble.members):
-        try:
-            lam1.append(smallest_nonzero_eig(A, Q, ensemble.rank_tolerance))
-        except np.linalg.LinAlgError:
-            raise np.linalg.LinAlgError(f"ensemble member {index} has numerical rank 0") from None
-    c = 0.0
-    capital_c = 0.0
-    m = 0.0
-    for A, Q in ensemble.members:
-        G = _solve_spd(Q, A)  # Q^{-1} A; its spectral norm equals ||A^T Q^{-1}||
-        c = max(c, float(np.linalg.norm(G, 2)))
+    c = capital_c = m = 0.0
+    for index, ((A, _), w) in enumerate(zip(ensemble.members, ensemble._member_svds())):
+        lam1.append(_lambda_1(w, ensemble.rank_tolerance, f"ensemble member {index}"))
+        q_inv = w.c_inv.T @ w.c_inv
+        c = max(c, float(np.linalg.norm(q_inv @ A, 2)))  # equals ||A^T Q^{-1}||
         capital_c = max(capital_c, float(np.linalg.norm(A) ** 2))
-        q_inv = _solve_spd(Q, np.eye(Q.shape[0]))
         m = max(m, float(np.linalg.norm(q_inv)))
     return EnsembleConstants(float(min(lam1)), c, capital_c, m)
 

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import analysis, io, simulation
-from .estimator import EstimatorConfig, EstimatorState, MeasurementBatch, initial_state, update
+from .estimator import EstimatorConfig, EstimatorState, initial_state, update
 from .verification import run_verification
 
 EXIT_OK = 0
@@ -43,11 +43,7 @@ def _load_scenario(path: str) -> simulation.ScenarioConfig:
 def _probe_tau(scenario: simulation.ScenarioConfig, ensemble) -> int:
     """Observability window of the first run's member sequence."""
     run0 = simulation.seed_for_run(scenario, 0)
-    sequence = simulation.generate_sequence(
-        ensemble, scenario.horizon, scenario.sequence_policy, simulation.derive_seed(run0, 0),
-        scenario.effective_window,
-    )
-    return _sequence_tau(sequence, ensemble)
+    return _sequence_tau(simulation.run_sequence(scenario, ensemble, run0), ensemble)
 
 
 def _sequence_tau(sequence, ensemble) -> int:
@@ -76,12 +72,8 @@ def _parse_gammas(text: str) -> list[float]:
 def _dump_run0(args, scenario, ensemble, run0) -> None:
     """Write run 0's measurement batches and estimate trajectory, as requested."""
     if args.dump_measurements:
-        batches = []
-        for t, index in enumerate(run0.member_indices, start=1):
-            A, Q = ensemble.members[index]
-            batches.append(MeasurementBatch(t, A @ run0.states[t] + run0.noises[t - 1], A, Q))
         with open(args.dump_measurements, "w", encoding="utf-8") as fobj:
-            io.write_batches_jsonl(batches, fobj)
+            io.write_run_measurements_jsonl(run0, ensemble, fobj)
     if args.dump_estimates:
         with open(args.dump_estimates, "w", encoding="utf-8") as fobj:
             io.write_estimates_header(fobj, scenario.n_states)

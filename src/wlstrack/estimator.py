@@ -18,8 +18,8 @@ unchanged (eigenvalue 1); observed directions are pulled toward the data with
 a factor gamma / (gamma + lambda_i), where lambda_i are the nonzero
 eigenvalues of the information matrix ``A^T Q^{-1} A``.
 
-The step is computed in gain form x_new = x_prev + K (y - A x_prev), factoring
-the smaller of the M x M and N x N positive definite systems (see _gain).
+Every quantity of the step comes from one thin SVD per (A, Q), that of the
+whitened matrix C^{-1} A with Q = C C^T (see _whitened_svd), for any shape of A.
 
 The inertia weight ``gamma`` trades responsiveness for noise rejection:
 small gamma follows new data aggressively, large gamma trusts the previous
@@ -29,10 +29,9 @@ estimate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 DEFAULT_RANK_TOL = 1e-10
 
@@ -95,27 +94,51 @@ def _check_gamma(gamma: float) -> float:
     return float(gamma)
 
 
-def _solve_spd(Q: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Q^{-1} B for symmetric positive definite Q, via Cholesky."""
-    return cho_solve(cho_factor(Q, lower=True), B)
+class _Whitened(NamedTuple):
+    """C^{-1} A = U diag(sigma) V^T for Q = C C^T, cut to its floating-point rank."""
+
+    c_inv: np.ndarray  # C^{-1}, M x M
+    sigma: np.ndarray  # the kept singular values, descending
+    u: np.ndarray  # M x rank left singular vectors
+    v: np.ndarray  # N x min(M, N) right singular vectors (N x N when complete), kept ones first
+    rank: int
 
 
-def _gain(A: np.ndarray, Q: np.ndarray, gamma: float):
-    """N x M gain K = L A^T Q^{-1} / gamma of the step x + K (y - b - A x), and
-    the Cholesky factor of A^T Q^{-1} A + gamma I when that is what was factored.
+def _whitened_svd(A, Q, complete: bool = False) -> _Whitened:
+    """The one factorization of already validated A and Q that the gain, the
+    step matrix and the spectrum read from, cut to floating-point rank
+    sigma_i > max(M, N) * eps * sigma_1 (as numpy.linalg.matrix_rank): only
+    directions that rounding cannot tell from zero, such as those of linearly
+    dependent rows, count as unobserved."""
+    c_inv = np.linalg.inv(np.linalg.cholesky(Q))
+    v, s, ut = np.linalg.svd(A.T @ c_inv.T, full_matrices=complete)
+    rank = int(np.count_nonzero(s > max(A.shape) * np.finfo(float).eps * s[:1]))
+    return _Whitened(c_inv, s[:rank], ut[:rank].T, v, rank)
 
-    With M < N it factors S = Q + A A^T / gamma (M x M); A^T Q^{-1} A + gamma I
-    is then numerically singular once gamma << ||A||^2.  With M >= N it factors
-    A^T Q^{-1} A + gamma I (N x N) instead, since S is singular once M > N.
-    K is C-contiguous in both cases, so that _advance runs the same BLAS kernel
-    on it as on a row of a stack of gains.
-    """
-    m, n = A.shape
-    if m < n:
-        return _solve_spd(Q + (A @ A.T) / gamma, A).T / gamma, None
-    W = _solve_spd(Q, A)  # Q^{-1} A
-    factor = cho_factor(A.T @ W + gamma * np.eye(n), lower=True)
-    return np.ascontiguousarray(cho_solve(factor, W.T)), factor
+
+def _spectral_rank(w: _Whitened, rank_tolerance: float) -> int:
+    """Kept directions with sigma_i^2 > rank_tolerance * sigma_1^2, the ones the spectrum reports."""
+    return int(np.count_nonzero(w.sigma**2 > rank_tolerance * w.sigma[:1] ** 2))
+
+
+def _gain(w: _Whitened, gamma: float) -> np.ndarray:
+    """N x M gain K = V diag(sigma / (sigma^2 + gamma)) U^T C^{-1} = L A^T Q^{-1} / gamma
+    of the step x + K (y - b - A x).  K is C-contiguous, so that _advance runs
+    the same BLAS kernel on it as on a row of a stack of gains."""
+    return (w.v[:, : w.rank] * (w.sigma / (w.sigma**2 + gamma))) @ (w.u.T @ w.c_inv)
+
+
+def _step_matrix(w: _Whitened, gamma: float) -> np.ndarray:
+    """L = V diag(d) V^T + (projector onto ker A), d = gamma / (gamma + sigma^2),
+    exactly symmetric: I - W W^T, W = V diag(sqrt(1 - d)), when A has a kernel or
+    every d >= 1/2 (no eigenvalue exceeds 1 by rounding); else, at full column
+    rank, W W^T, W = V diag(sqrt(d)) (rounding relative to each d keeps tiny ones positive)."""
+    n, s2 = w.v.shape[0], w.sigma**2
+    if w.rank < n or np.all(s2 <= gamma):
+        W = w.v[:, : w.rank] * np.sqrt(s2 / (gamma + s2))
+        return np.eye(n) - W @ W.T
+    W = w.v * np.sqrt(gamma / (gamma + s2))
+    return W @ W.T
 
 
 def _advance(x: np.ndarray, K: np.ndarray, A: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -130,21 +153,9 @@ def _advance(x: np.ndarray, K: np.ndarray, A: np.ndarray, y: np.ndarray) -> np.n
 
 
 def _gain_and_step(A: np.ndarray, Q: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    """K and the symmetrized step matrix L for already validated A, Q and gamma.
-
-    L is gamma (A^T Q^{-1} A + gamma I)^{-1} from the N x N factor when there is
-    one (it stays positive definite when gamma << ||A||^2), else I - K A.
-    """
-    K, factor = _gain(A, Q, gamma)
-    n = A.shape[1]
-    lam = np.eye(n) - K @ A if factor is None else cho_solve(factor, gamma * np.eye(n))
-    return K, 0.5 * (lam + lam.T)
-
-
-def _information(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """A^T Q^{-1} A, symmetrized, for already validated A and Q."""
-    J = A.T @ _solve_spd(Q, A)
-    return 0.5 * (J + J.T)
+    """K and L for already validated A, Q and gamma."""
+    w = _whitened_svd(A, Q)
+    return _gain(w, gamma), _step_matrix(w, gamma)
 
 
 @dataclass(frozen=True)
@@ -204,19 +215,16 @@ class MeasurementBatch:
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Estimator parameters: inertia weight gamma, state dimension, rank cutoff."""
+    """Estimator parameters: inertia weight gamma and state dimension."""
 
     gamma: float
     n_states: int
-    rank_tolerance: float = DEFAULT_RANK_TOL
 
     def __post_init__(self):
         _check_gamma(self.gamma)
         if int(self.n_states) != self.n_states or self.n_states < 1:
             raise ValueError(f"n_states must be an integer >= 1, got {self.n_states}")
         object.__setattr__(self, "n_states", int(self.n_states))
-        if not (np.isfinite(self.rank_tolerance) and self.rank_tolerance > 0):
-            raise ValueError("rank_tolerance must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -274,39 +282,36 @@ class LambdaDecomposition:
 def information_matrix(A, Q=None) -> np.ndarray:
     """A^T Q^{-1} A: the positive semidefinite matrix whose nonzero spectrum
     determines how strongly each observed direction is corrected."""
-    return _information(*_validate_aq(A, Q))
+    A, Q = _validate_aq(A, Q)
+    W = np.linalg.inv(np.linalg.cholesky(Q)) @ A
+    return W.T @ W
 
 
 def lambda_matrix(A, Q, gamma: float) -> np.ndarray:
-    """Step matrix gamma * (A^T Q^{-1} A + gamma I)^{-1} (I - K A when M < N).
-
-    Symmetric positive definite with spectral norm <= 1.  Its eigenvalues are
-    1 on the kernel of A and gamma / (gamma + lambda_i) on the observed
-    directions; when M < N those below rounding of 1 are not resolved.
-    """
+    """Step matrix L = gamma * (A^T Q^{-1} A + gamma I)^{-1}, symmetric positive
+    semidefinite with spectral norm <= 1: eigenvalues gamma / (gamma + sigma_i^2)
+    on the directions the whitened C^{-1} A observes (see _whitened_svd) and 1 on
+    its kernel, beside which eigenvalues below rounding of 1 are not resolved."""
     gamma = _check_gamma(gamma)
     A, Q = _validate_aq(A, Q)
-    return _gain_and_step(A, Q, gamma)[1]
+    return _step_matrix(_whitened_svd(A, Q), gamma)
 
 
 def decompose_lambda(A, Q, gamma: float, rank_tolerance: float = DEFAULT_RANK_TOL) -> LambdaDecomposition:
-    """Eigen-split of the step matrix into kernel and observed subspaces.
-
-    Eigenvalues of J = A^T Q^{-1} A at or below rank_tolerance times the
-    largest are treated as zero.  The reconstruction
-    U diag(gamma/(gamma+lambda_i)) U^T + V V^T equals lambda_matrix(A, Q, gamma).
-    """
+    """Eigen-split of the step matrix into kernel and observed subspaces, the
+    nonzero eigenvalues of A^T Q^{-1} A being the squared singular values of the
+    whitened C^{-1} A above rank_tolerance times the largest.  The bases rebuild
+    lambda_matrix(A, Q, gamma) unless some sigma_i^2 lies between that cutoff and
+    floating-point rank: L observes such a direction, the split puts it in the kernel."""
     gamma = _check_gamma(gamma)
     A, Q = _validate_aq(A, Q)
-    evals, evecs = np.linalg.eigh(_information(A, Q))
-    evals = np.clip(evals, 0.0, None)
-    cutoff = rank_tolerance * evals[-1] if evals.size else 0.0
-    nonzero = evals > cutoff
+    w = _whitened_svd(A, Q, complete=True)
+    rank = _spectral_rank(w, rank_tolerance)
     return LambdaDecomposition(
-        lambda_matrix=_gain_and_step(A, Q, gamma)[1],
-        nonzero_eigs=evals[nonzero],
-        kernel_basis=evecs[:, ~nonzero],
-        image_basis=evecs[:, nonzero],
+        lambda_matrix=_step_matrix(w, gamma),
+        nonzero_eigs=w.sigma[:rank][::-1] ** 2,
+        kernel_basis=w.v[:, rank:],
+        image_basis=w.v[:, :rank][:, ::-1],
     )
 
 
@@ -325,11 +330,11 @@ def update(state: EstimatorState, batch: MeasurementBatch, config: EstimatorConf
     """Advance the estimate with one measurement batch.
 
     Solves (A^T Q^{-1} A + gamma I) x = gamma x_prev + A^T Q^{-1} (y - b) in
-    gain form x_prev + K (y - b - A x_prev), factoring the smaller SPD system
-    (see _gain) without forming any explicit inverse.
+    gain form x_prev + K (y - b - A x_prev), with K from the batch's whitened
+    SVD (see _gain).
     """
     _check_step(state, batch, config)
-    K = _gain(batch.A, batch.Q, config.gamma)[0]
+    K = _gain(_whitened_svd(batch.A, batch.Q), config.gamma)
     return EstimatorState(_advance(state.x_hat, K, batch.A, batch.effective_y()), batch.t)
 
 
@@ -346,7 +351,7 @@ def update_gradient_form(
     _check_step(state, batch, config)
     lam = lambda_matrix(batch.A, batch.Q, config.gamma)
     residual = batch.A @ state.x_hat - batch.effective_y()
-    grad = batch.A.T @ _solve_spd(batch.Q, residual)
+    grad = batch.A.T @ np.linalg.solve(batch.Q, residual)
     x_new = state.x_hat - (lam @ grad) / config.gamma
     return EstimatorState(x_new, batch.t)
 

@@ -22,6 +22,7 @@ __all__ = [
     "batch_from_dict",
     "iter_batches_jsonl",
     "write_batches_jsonl",
+    "write_run_measurements_jsonl",
     "write_estimates_header",
     "write_estimates_row",
     "write_mc_summary_csv",
@@ -41,14 +42,14 @@ def format_float(x: float) -> str:
 
 
 def batch_to_dict(batch: MeasurementBatch) -> dict:
-    d = {
-        "t": batch.t,
-        "y": batch.y.tolist(),
-        "A": batch.A.tolist(),
-        "Q": batch.Q.tolist(),
-    }
-    if batch.b is not None:
-        d["b"] = batch.b.tolist()
+    return _batch_record(batch.t, batch.y, batch.A, batch.Q, batch.b)
+
+
+def _batch_record(t: int, y, A, Q, b=None) -> dict:
+    """The JSON-lines record {"t", "y", "A", "Q", "b"?} of one measurement batch."""
+    d = {"t": t, "y": y.tolist(), "A": A.tolist(), "Q": Q.tolist()}
+    if b is not None:
+        d["b"] = b.tolist()
     return d
 
 
@@ -89,6 +90,15 @@ def iter_batches_jsonl(lines: Iterable[str]) -> Iterator[MeasurementBatch]:
 def write_batches_jsonl(batches: Iterable[MeasurementBatch], fobj: TextIO) -> None:
     for batch in batches:
         fobj.write(json.dumps(batch_to_dict(batch)))
+        fobj.write("\n")
+
+
+def write_run_measurements_jsonl(run: RunResult, ensemble: SystemEnsemble, fobj: TextIO) -> None:
+    """A run's batches y(t) = A(t) x(t) + n(t) (it must keep its details) in the
+    format of write_batches_jsonl, from the ensemble's already validated members."""
+    for t, index in enumerate(run.member_indices, start=1):
+        A, Q = ensemble.members[index]
+        fobj.write(json.dumps(_batch_record(t, A @ run.states[t] + run.noises[t - 1], A, Q)))
         fobj.write("\n")
 
 

@@ -43,6 +43,7 @@ __all__ = [
     "generate_noise",
     "build_ensemble",
     "seed_for_run",
+    "run_sequence",
     "simulate_run",
     "iter_runs",
     "summarize",
@@ -333,6 +334,12 @@ def seed_for_run(scenario: ScenarioConfig, run_index: int) -> int:
     return derive_seed(scenario.seed, 1 + int(run_index))
 
 
+def run_sequence(scenario: ScenarioConfig, ensemble: SystemEnsemble, run_seed: int) -> np.ndarray:
+    """Member sequence of the run with seed run_seed, drawn from its sub-stream 0."""
+    sc, seed = scenario, derive_seed(run_seed, 0)
+    return generate_sequence(ensemble, sc.horizon, sc.sequence_policy, seed, sc.effective_window)
+
+
 # Runs stepped together in one lockstep block.  It sets the engine's memory
 # (one block's arrays, and the previous block's while the next is drawn) and
 # its per-run Python overhead, never the results: each run's arithmetic is
@@ -359,10 +366,7 @@ def _draw_block(sc: ScenarioConfig, ensemble, matrices, seeds, member_sequence) 
     the measurements they give.  Non-finite measurements raise ValueError."""
     T = sc.horizon
     if member_sequence is None:
-        sequences = np.stack([
-            generate_sequence(ensemble, T, sc.sequence_policy, derive_seed(s, 0), sc.effective_window)
-            for s in seeds
-        ])
+        sequences = np.stack([run_sequence(sc, ensemble, s) for s in seeds])
     else:
         sequences = np.broadcast_to(member_sequence, (len(seeds), T))
     trajectories = [

@@ -159,11 +159,17 @@ def test_constants_experiment_unit_frobenius():
 
 
 def test_constants_are_computed_once_per_ensemble(monkeypatch):
-    calls = count_calls(monkeypatch, analysis, "smallest_nonzero_eig")
+    # One whitened SVD per member serves the constants, the step matrices and
+    # the gains at every gamma.
+    calls = count_calls(monkeypatch, analysis, "_whitened_svd")
     ens = experiment_ensemble()
     first = ensemble_constants(ens)
     analysis.bound_report(ens, 5, 0.25, 1.0, 1.0)
     psi(ens, 0.25)
+    ens.member_gains(0.25)
+    ens.member_gains(2.0)
+    for index, (A, Q) in enumerate(ens.members):
+        assert np.array_equal(ens.member_lambda(index, 0.5), lambda_matrix(A, Q, 0.5))
     assert ensemble_constants(ens) is first
     assert len(calls) == len(ens)
 

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -156,6 +158,37 @@ def test_simulate_without_observability_window_exits_3_and_writes_nothing(tmp_pa
     assert main(argv) == 3
     assert "joint full rank" in capsys.readouterr().err
     assert not any(path.exists() for path in outputs)
+
+
+def test_dump_measurements_builds_no_batch_and_keeps_the_batch_format(tmp_path, monkeypatch):
+    # The library members were validated once, so run 0's batches are written
+    # without building (and re-validating) a MeasurementBatch per step.
+    from wlstrack import estimator, io, simulation
+
+    calls = count_calls(monkeypatch, estimator.MeasurementBatch, "__post_init__")
+    path = tmp_path / "sc.json"
+    cfg = write_json(path, minimal_scenario(n_runs=2, horizon=6))
+    meas = tmp_path / "meas.jsonl"
+    assert main(["simulate", cfg, str(tmp_path / "mc.csv"), "--dump-measurements", str(meas)]) == 0
+    assert calls == []
+
+    scenario = io.scenario_from_dict(json.loads(path.read_text()))
+    ensemble = simulation.build_ensemble(scenario)
+    run0 = next(simulation.iter_runs(scenario, keep_details=True, ensemble=ensemble))
+    batches = []
+    for t, index in enumerate(run0.member_indices, start=1):
+        A, Q = ensemble.members[index]
+        batches.append(estimator.MeasurementBatch(t, A @ run0.states[t] + run0.noises[t - 1], A, Q))
+    expected = tmp_path / "expected.jsonl"
+    with open(expected, "w", encoding="utf-8") as fobj:
+        io.write_batches_jsonl(batches, fobj)
+    assert meas.read_bytes() == expected.read_bytes()
+
+
+def test_cli_import_does_not_load_scipy():
+    code = "import sys, wlstrack.cli; print('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 # --------------------------------------------------------------------- sweep

@@ -390,6 +390,64 @@ def test_update_more_measurements_than_states_matches_dense_oracle():
     assert rel_err(x_new, dense_update_oracle(x_prev, y, A, Q, 1e-8)) <= 1e-12
 
 
+@pytest.mark.parametrize("gamma", [1e-10, 1e-8, 1.0, 1e8])
+def test_dependent_rows_get_an_answer(gamma):
+    # Row 3 = row 1 + row 2, so Q + A A^T / gamma is singular to rounding
+    # once gamma << ||A||^2, and A^T Q^{-1} A + gamma I is whenever M < N.
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((3, 15))
+        A[2] = A[0] + A[1]
+        A *= 1e4
+        Q = random_spd(rng, 3)
+        x_prev = rng.standard_normal(15)
+        y = A @ rng.standard_normal(15) + rng.standard_normal(3)
+        x_new = one_step(x_prev, y, A, Q, gamma)
+        assert normal_equation_residual(x_prev, y, A, Q, gamma, x_new) <= 1e-12
+        assert kernel_leak(A, x_prev, x_new) <= 1e-8
+        # Beside the unit eigenvalues on ker A, eigenvalues far below
+        # rounding of 1 are resolved only to a few eps.
+        eigs = np.linalg.eigvalsh(lambda_matrix(A, Q, gamma))
+        slack = 15 * np.finfo(float).eps
+        assert np.sum(eigs > 1 - 1e-10) == 13
+        assert eigs.min() >= -slack and eigs.max() <= 1 + slack
+        dec = decompose_lambda(A, Q, gamma)
+        assert (dec.image_dim, dec.kernel_dim) == (2, 13)
+        j_eigs = np.linalg.eigvalsh(A.T @ np.linalg.inv(Q) @ A)[-2:]
+        assert np.allclose(dec.nonzero_eigs, j_eigs, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("gamma", [1e-2, 1.0, 1e2])
+def test_update_corrects_weakly_observed_direction_of_full_rank_A(gamma):
+    # Whitened singular values 1e6 and 1: the second direction is observed,
+    # however small beside the first, and is corrected by 1 / (1 + gamma).
+    A = np.diag([1e6, 1.0])
+    y = np.array([1e6, 1.0])
+    x_new = one_step(np.zeros(2), y, A, np.eye(2), gamma)
+    expected = np.linalg.solve(A.T @ A + gamma * np.eye(2), A.T @ y)
+    assert np.allclose(x_new, expected, rtol=1e-12, atol=0)
+    lam = lambda_matrix(A, np.eye(2), gamma)
+    assert np.allclose(np.diag(lam), gamma / (gamma + np.diag(A) ** 2), rtol=1e-12, atol=0)
+    assert lam[0, 1] == lam[1, 0] == 0
+
+
+@pytest.mark.parametrize("gamma", [1e-14, 1e-8, 1.0])
+def test_update_on_graded_singular_values_matches_exact_filter_factors(gamma):
+    # A = U diag(1, 1e-3, 1e-6) V^T with Q = I: in V's coordinates the step is
+    # exactly sigma / (sigma^2 + gamma) times U^T (y - A x_prev), direction by
+    # direction, down to the smallest singular value.
+    rng = np.random.default_rng(7)
+    U = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    V = np.linalg.qr(rng.standard_normal((15, 3)))[0]
+    s = np.array([1.0, 1e-3, 1e-6])
+    A = (U * s) @ V.T
+    x_prev = rng.standard_normal(15)
+    y = A @ rng.standard_normal(15) + rng.standard_normal(3)
+    x_new = one_step(x_prev, y, A, np.eye(3), gamma)
+    expected = s / (s**2 + gamma) * (U.T @ (y - A @ x_prev))
+    assert np.allclose(V.T @ (x_new - x_prev), expected, rtol=1e-6, atol=0)
+
+
 def test_lambda_positive_definite_with_more_measurements_and_gamma_far_below_norm_squared():
     # M >= N: L = gamma (J + gamma I)^{-1} comes from the Cholesky factor of
     # J + gamma I, so its eigenvalues gamma / (gamma + lambda_i) ~ 1e-18 stay
@@ -404,13 +462,23 @@ def test_lambda_positive_definite_with_more_measurements_and_gamma_far_below_nor
 @st.composite
 def step_problems(draw, wide=False):
     """(x_prev, y, A, Q, gamma) with gamma and ||A|| from 1e-8 to 1e8, Gaussian A,
-    random SPD Q, and M, N from 1 to 30 (M < N when wide)."""
+    random SPD Q, and M, N from 1 to 30 (M < N when wide).
+
+    The rows of A past the first `independent` ones repeat an earlier row or
+    sum two earlier rows, so A may have linearly dependent rows.  When M >= N
+    at least N rows stay independent: A then keeps full column rank, and L has
+    no unit eigenvalues beside which its smallest ones would sink below
+    rounding (as they may when M < N).
+    """
     n = draw(st.integers(2 if wide else 1, 30))
     m = draw(st.integers(1, n - 1 if wide else 30))
+    independent = draw(st.integers(n if m >= n else 1, m))
     gamma = 10.0 ** draw(st.floats(-8, 8))
     scale = 10.0 ** draw(st.floats(-8, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     A = rng.standard_normal((m, n)) * scale
+    for row in range(independent, m):
+        A[row] = A[rng.integers(0, row, size=rng.integers(1, 3))].sum(axis=0)
     Q = random_spd(rng, m)
     x_prev = rng.standard_normal(n)
     y = A @ rng.standard_normal(n) + scale * rng.standard_normal(m)
@@ -444,6 +512,17 @@ def test_property_lambda_symmetric_with_spectrum_in_unit_interval(problem):
         # eigenvalues below its rounding level are not resolved.
         slack = spectrum_slack(A, Q)
         assert eigs.min() >= -slack and eigs.max() <= 1 + slack
+
+
+@given(step_problems())
+def test_property_decompose_lambda_factors_in_unit_interval_and_bases_reconstruct_lambda(problem):
+    _, _, A, Q, gamma = problem
+    dec = decompose_lambda(A, Q, gamma)
+    factors = np.concatenate([gamma / (gamma + dec.nonzero_eigs), np.ones(dec.kernel_dim)])
+    assert factors.size == A.shape[1]
+    assert np.all(factors > 0) and np.all(factors <= 1)
+    basis = np.hstack([dec.image_basis, dec.kernel_basis])
+    assert rel_err((basis * factors) @ basis.T, lambda_matrix(A, Q, gamma)) <= 1e-12
 
 
 # ------------------------------------------------------------ type validation

@@ -441,6 +441,13 @@ def test_jobs_must_be_a_positive_integer():
             next(iter_runs(sc, n_jobs=bad))
 
 
+def test_run_sequence_is_the_sequence_each_run_uses():
+    sc = small_scenario(n_runs=5)
+    ens = build_ensemble(sc)
+    for i, run in enumerate(iter_runs(sc, ensemble=ens)):
+        assert np.array_equal(simulation.run_sequence(sc, ens, seed_for_run(sc, i)), run.member_indices)
+
+
 def test_shared_rank_memo_draws_the_same_sequences(monkeypatch):
     # Window ranks are memoized per ensemble by member multiset; sequences
     # drawn through one shared ensemble equal those drawn through a fresh
