@@ -38,10 +38,9 @@ from .estimator import (
     _as_float_array,
     _check_gamma,
     _gain,
-    _gain_and_step,
+    _read_only_copy,
     _spectral_rank,
     _step_matrix,
-    _validate_aq,
     _whitened_svd,
     _Whitened,
 )
@@ -84,55 +83,49 @@ class SystemEnsemble:
     definite.  Worst-case constants over time (psi, lambda_bar, c, C, m) are
     maxima or minima over this list.
 
-    The members are stored as read-only copies, so results derived from them
-    (window ranks, member SVDs and gains, ensemble_constants) are memoized on
-    the instance.
+    Each member is validated and factored once, at construction (see
+    estimator._whitened_svd), and `members` holds read-only copies of its A
+    and Q, so results derived from them (window ranks, gains,
+    ensemble_constants) are memoized on the instance.
     """
 
     members: tuple
     n_states: int
-    rank_tolerance: float = DEFAULT_RANK_TOL
+    _models: tuple = field(init=False, repr=False, compare=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if int(self.n_states) != self.n_states or self.n_states < 1:
             raise ValueError(f"n_states must be an integer >= 1, got {self.n_states}")
         object.__setattr__(self, "n_states", int(self.n_states))
-        if not (np.isfinite(self.rank_tolerance) and self.rank_tolerance > 0):
-            raise ValueError("rank_tolerance must be positive and finite")
-        members = []
+        models = []
         for i, pair in enumerate(self.members):
-            A, Q = (_read_only_copy(M) for M in _validate_aq(*pair))
-            if A.shape[1] != self.n_states:
+            w = _whitened_svd(*pair)
+            if w.A.shape[1] != self.n_states:
                 raise ValueError(
-                    f"member {i}: A has {A.shape[1]} columns, expected {self.n_states}"
+                    f"member {i}: A has {w.A.shape[1]} columns, expected {self.n_states}"
                 )
-            members.append((A, Q))
-        if not members:
+            models.append(w)
+        if not models:
             raise ValueError("ensemble must contain at least one member")
-        object.__setattr__(self, "members", tuple(members))
+        object.__setattr__(self, "members", tuple((w.A, w.Q) for w in models))
+        object.__setattr__(self, "_models", tuple(models))
 
     def __len__(self) -> int:
         return len(self.members)
 
     def member_lambda(self, index: int, gamma: float) -> np.ndarray:
-        return _step_matrix(self._member_svds()[index], _check_gamma(gamma))
-
-    def _member_svds(self) -> tuple:
-        """Every member's whitened SVD (see estimator._whitened_svd), memoized."""
-        if "svd" not in self._memo:
-            self._memo["svd"] = tuple(_whitened_svd(A, Q) for A, Q in self.members)
-        return self._memo["svd"]
+        return _step_matrix(self._models[index], _check_gamma(gamma))
 
     def member_gains(self, gamma: float) -> np.ndarray:
         """Every member's step gain K_i of estimator.update at this gamma,
         stacked into a read-only L x N x M array (the members must share M).
-        Memoized per gamma; every gamma reads the same member SVDs."""
+        Memoized per gamma; every gamma reads the same member factorizations."""
         gamma = _check_gamma(gamma)
         key = ("gains", gamma)
         gains = self._memo.get(key)
         if gains is None:
-            gains = np.stack([_gain(w, gamma) for w in self._member_svds()])
+            gains = np.stack([_gain(w, gamma) for w in self._models])
             gains = self._memo[key] = _read_only_copy(gains)
         return gains
 
@@ -151,15 +144,9 @@ class SystemEnsemble:
             stacked = np.vstack([self.members[i][0] for i in key[1]])
             s = np.linalg.svd(stacked, compute_uv=False)
             n = self.n_states
-            good = bool(s.size >= n and s[n - 1] > self.rank_tolerance * s[0])
+            good = bool(s.size >= n and s[n - 1] > DEFAULT_RANK_TOL * s[0])
             self._memo[key] = good
         return good
-
-
-def _read_only_copy(M: np.ndarray) -> np.ndarray:
-    M = np.array(M)
-    M.flags.writeable = False
-    return M
 
 
 class EnsembleConstants(NamedTuple):
@@ -197,11 +184,11 @@ class ErrorMoments:
         object.__setattr__(self, "t", int(self.t))
 
 
-def kernel_basis(A, rank_tolerance: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def kernel_basis(A) -> np.ndarray:
     """Orthonormal basis (N x K columns) of the numerical kernel of A.
 
     K = N minus the numerical rank of A; singular values at or below
-    rank_tolerance times the largest count as zero.  An empty A (no rows)
+    DEFAULT_RANK_TOL times the largest count as zero.  An empty A (no rows)
     has kernel equal to the whole space.
     """
     A = _as_float_array(A, "A", 2)
@@ -209,19 +196,19 @@ def kernel_basis(A, rank_tolerance: float = DEFAULT_RANK_TOL) -> np.ndarray:
     if A.shape[0] == 0:
         return np.eye(n)
     _, s, vt = np.linalg.svd(A)
-    rank = int(np.count_nonzero(s > rank_tolerance * s[0])) if s.size and s[0] > 0 else 0
+    rank = int(np.count_nonzero(s > DEFAULT_RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
     return vt[rank:].T
 
 
-def smallest_nonzero_eig(A, Q=None, rank_tolerance: float = DEFAULT_RANK_TOL) -> float:
+def smallest_nonzero_eig(A, Q=None) -> float:
     """Smallest nonzero eigenvalue lambda_1 of A^T Q^{-1} A: the smallest squared
-    singular value of the whitened C^{-1} A (Q = C C^T) above rank_tolerance times
-    the largest.  Raises numpy.linalg.LinAlgError when there is none."""
-    return _lambda_1(_whitened_svd(*_validate_aq(A, Q)), rank_tolerance)
+    singular value of the whitened C^{-1} A (Q = C C^T) above DEFAULT_RANK_TOL
+    times the largest.  Raises numpy.linalg.LinAlgError when there is none."""
+    return _lambda_1(_whitened_svd(A, Q))
 
 
-def _lambda_1(w: _Whitened, rank_tolerance: float, name: str = "matrix") -> float:
-    rank = _spectral_rank(w, rank_tolerance)
+def _lambda_1(w: _Whitened, name: str = "matrix") -> float:
+    rank = _spectral_rank(w)
     if rank == 0:
         raise np.linalg.LinAlgError(f"{name} has numerical rank 0; smallest nonzero eigenvalue undefined")
     return float(w.sigma[rank - 1] ** 2)
@@ -293,11 +280,11 @@ def ensemble_constants(ensemble: SystemEnsemble) -> EnsembleConstants:
 def _ensemble_constants(ensemble: SystemEnsemble) -> EnsembleConstants:
     lam1 = []
     c = capital_c = m = 0.0
-    for index, ((A, _), w) in enumerate(zip(ensemble.members, ensemble._member_svds())):
-        lam1.append(_lambda_1(w, ensemble.rank_tolerance, f"ensemble member {index}"))
+    for index, w in enumerate(ensemble._models):
+        lam1.append(_lambda_1(w, f"ensemble member {index}"))
         q_inv = w.c_inv.T @ w.c_inv
-        c = max(c, float(np.linalg.norm(q_inv @ A, 2)))  # equals ||A^T Q^{-1}||
-        capital_c = max(capital_c, float(np.linalg.norm(A) ** 2))
+        c = max(c, float(np.linalg.norm(q_inv @ w.A, 2)))  # equals ||A^T Q^{-1}||
+        capital_c = max(capital_c, float(np.linalg.norm(w.A) ** 2))
         m = max(m, float(np.linalg.norm(q_inv)))
     return EnsembleConstants(float(min(lam1)), c, capital_c, m)
 
@@ -392,7 +379,7 @@ def gamma_star_bounded(c, lambda_bar, delta_n, delta_x) -> float:
 
 def _covariance_step(sigma: np.ndarray, batch: MeasurementBatch, gamma: float):
     """L and L sigma L^T + K Q K^T for the batch's gain K and step matrix L."""
-    K, lam = _gain_and_step(batch.A, batch.Q, gamma)
+    K, lam = _gain(batch._model, gamma), _step_matrix(batch._model, gamma)
     return lam, lam @ sigma @ lam.T + K @ batch.Q @ K.T
 
 
@@ -441,7 +428,7 @@ def vectorized_sigma_step(sigma_vec, batch: MeasurementBatch, gamma: float) -> n
         raise ValueError(f"sigma_vec has length {v.shape[0]}, expected {n * n}")
     if n > KRONECKER_MAX_STATES:
         return _covariance_step(v.reshape(n, n), batch, gamma)[1].reshape(-1)
-    K, lam = _gain_and_step(batch.A, batch.Q, gamma)
+    K, lam = _gain(batch._model, gamma), _step_matrix(batch._model, gamma)
     return np.kron(lam, lam) @ v + np.kron(K, K) @ batch.Q.reshape(-1)
 
 

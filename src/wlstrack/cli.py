@@ -141,6 +141,8 @@ def cmd_bounds(args) -> int:
         tau = args.tau if args.tau is not None else _probe_tau(scenario, ensemble)
         delta_x = scenario.delta_x if args.delta_x is None else args.delta_x
         delta_n = scenario.noise.delta_n if args.delta_n is None else args.delta_n
+    simulation._check_nonnegative(delta_x, "delta_x")
+    simulation._check_nonnegative(delta_n, "delta_n")
 
     if args.gamma is not None:
         gammas = [args.gamma]

@@ -20,6 +20,8 @@ eigenvalues of the information matrix ``A^T Q^{-1} A``.
 
 Every quantity of the step comes from one thin SVD per (A, Q), that of the
 whitened matrix C^{-1} A with Q = C C^T (see _whitened_svd), for any shape of A.
+A MeasurementBatch validates and factors its model once, at construction, and
+keeps read-only copies of A and Q with the factorization.
 
 The inertia weight ``gamma`` trades responsiveness for noise rejection:
 small gamma follows new data aggressively, large gamma trusts the previous
@@ -28,7 +30,7 @@ estimate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -60,22 +62,38 @@ def _as_float_array(value, name: str, ndim: int) -> np.ndarray:
     return arr
 
 
-def check_spd(Q: np.ndarray, name: str = "Q", sym_tol: float = 1e-10) -> None:
-    """Raise unless Q is symmetric (within tolerance) and positive definite."""
-    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {Q.shape}")
-    if Q.size == 0:
-        return
-    scale = max(float(np.abs(Q).max()), 1.0)
-    if not np.allclose(Q, Q.T, rtol=0.0, atol=sym_tol * scale):
-        raise ValueError(f"{name} is not symmetric")
-    try:
-        np.linalg.cholesky(Q)
-    except np.linalg.LinAlgError:
-        raise np.linalg.LinAlgError(f"{name} is not positive definite") from None
+def _check_gamma(gamma: float) -> float:
+    if not (np.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    return float(gamma)
 
 
-def _validate_aq(A, Q) -> tuple[np.ndarray, np.ndarray]:
+def _read_only_copy(M: np.ndarray) -> np.ndarray:
+    M = np.array(M)
+    M.flags.writeable = False
+    return M
+
+
+class _Whitened(NamedTuple):
+    """A validated model (A, Q) and C^{-1} A = U diag(sigma) V^T for Q = C C^T,
+    cut to its floating-point rank."""
+
+    A: np.ndarray  # M x N, read-only copy
+    Q: np.ndarray  # M x M, read-only copy
+    c_inv: np.ndarray  # C^{-1}, M x M
+    sigma: np.ndarray  # the kept singular values, descending
+    u: np.ndarray  # M x rank left singular vectors
+    v: np.ndarray  # N x min(M, N) right singular vectors (N x N when complete), kept ones first
+    rank: int
+
+
+def _whitened_svd(A, Q=None, complete: bool = False) -> _Whitened:
+    """Validate A and Q (the identity when None; else symmetric within 1e-10 of
+    its largest entry and positive definite) and take the one factorization
+    that the gain, the step matrix and the spectrum read from, cut to
+    floating-point rank sigma_i > max(M, N) * eps * sigma_1 (as
+    numpy.linalg.matrix_rank): only directions that rounding cannot tell from
+    zero, such as those of linearly dependent rows, count as unobserved."""
     A = _as_float_array(A, "A", 2)
     m = A.shape[0]
     if Q is None:
@@ -84,41 +102,22 @@ def _validate_aq(A, Q) -> tuple[np.ndarray, np.ndarray]:
         Q = _as_float_array(Q, "Q", 2)
         if Q.shape != (m, m):
             raise ValueError(f"Q has shape {Q.shape}, expected {(m, m)}")
-        check_spd(Q, "Q")
-    return A, Q
-
-
-def _check_gamma(gamma: float) -> float:
-    if not (np.isfinite(gamma) and gamma > 0):
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
-    return float(gamma)
-
-
-class _Whitened(NamedTuple):
-    """C^{-1} A = U diag(sigma) V^T for Q = C C^T, cut to its floating-point rank."""
-
-    c_inv: np.ndarray  # C^{-1}, M x M
-    sigma: np.ndarray  # the kept singular values, descending
-    u: np.ndarray  # M x rank left singular vectors
-    v: np.ndarray  # N x min(M, N) right singular vectors (N x N when complete), kept ones first
-    rank: int
-
-
-def _whitened_svd(A, Q, complete: bool = False) -> _Whitened:
-    """The one factorization of already validated A and Q that the gain, the
-    step matrix and the spectrum read from, cut to floating-point rank
-    sigma_i > max(M, N) * eps * sigma_1 (as numpy.linalg.matrix_rank): only
-    directions that rounding cannot tell from zero, such as those of linearly
-    dependent rows, count as unobserved."""
-    c_inv = np.linalg.inv(np.linalg.cholesky(Q))
+        scale = max(float(np.abs(Q).max(initial=0.0)), 1.0)
+        if not np.allclose(Q, Q.T, rtol=0.0, atol=1e-10 * scale):
+            raise ValueError("Q is not symmetric")
+    try:
+        C = np.linalg.cholesky(Q)
+    except np.linalg.LinAlgError:
+        raise np.linalg.LinAlgError("Q is not positive definite") from None
+    c_inv = np.linalg.inv(C)
     v, s, ut = np.linalg.svd(A.T @ c_inv.T, full_matrices=complete)
     rank = int(np.count_nonzero(s > max(A.shape) * np.finfo(float).eps * s[:1]))
-    return _Whitened(c_inv, s[:rank], ut[:rank].T, v, rank)
+    return _Whitened(_read_only_copy(A), _read_only_copy(Q), c_inv, s[:rank], ut[:rank].T, v, rank)
 
 
-def _spectral_rank(w: _Whitened, rank_tolerance: float) -> int:
-    """Kept directions with sigma_i^2 > rank_tolerance * sigma_1^2, the ones the spectrum reports."""
-    return int(np.count_nonzero(w.sigma**2 > rank_tolerance * w.sigma[:1] ** 2))
+def _spectral_rank(w: _Whitened) -> int:
+    """Kept directions with sigma_i^2 > DEFAULT_RANK_TOL * sigma_1^2, the ones the spectrum reports."""
+    return int(np.count_nonzero(w.sigma**2 > DEFAULT_RANK_TOL * w.sigma[:1] ** 2))
 
 
 def _gain(w: _Whitened, gamma: float) -> np.ndarray:
@@ -152,12 +151,6 @@ def _advance(x: np.ndarray, K: np.ndarray, A: np.ndarray, y: np.ndarray) -> np.n
     return x + (K @ residual[..., None])[..., 0]
 
 
-def _gain_and_step(A: np.ndarray, Q: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    """K and L for already validated A, Q and gamma."""
-    w = _whitened_svd(A, Q)
-    return _gain(w, gamma), _step_matrix(w, gamma)
-
-
 @dataclass(frozen=True)
 class MeasurementBatch:
     """One time step's stacked measurements.
@@ -173,6 +166,10 @@ class MeasurementBatch:
 
     M = 0 (nobody reported this step) is accepted; such a batch leaves the
     estimate unchanged.
+
+    (A, Q) is validated and factored once, at construction (see
+    _whitened_svd); A and Q are read-only copies of the caller's arrays, so
+    the factorization the update reads always belongs to them.
     """
 
     t: int
@@ -180,14 +177,15 @@ class MeasurementBatch:
     A: np.ndarray
     Q: np.ndarray | None = None
     b: np.ndarray | None = None
+    _model: _Whitened = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if int(self.t) != self.t or self.t < 1:
             raise ValueError(f"t must be an integer >= 1, got {self.t}")
         object.__setattr__(self, "t", int(self.t))
-        A, Q = _validate_aq(self.A, self.Q)
+        model = _whitened_svd(self.A, self.Q)
         y = _as_float_array(self.y, "y", 1)
-        m = A.shape[0]
+        m = model.A.shape[0]
         if y.shape[0] != m:
             raise ValueError(f"y has length {y.shape[0]} but A has {m} rows")
         b = None
@@ -196,9 +194,10 @@ class MeasurementBatch:
             if b.shape[0] != m:
                 raise ValueError(f"b has length {b.shape[0]} but A has {m} rows")
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "Q", Q)
+        object.__setattr__(self, "A", model.A)
+        object.__setattr__(self, "Q", model.Q)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "_model", model)
 
     @property
     def n_meas(self) -> int:
@@ -282,8 +281,8 @@ class LambdaDecomposition:
 def information_matrix(A, Q=None) -> np.ndarray:
     """A^T Q^{-1} A: the positive semidefinite matrix whose nonzero spectrum
     determines how strongly each observed direction is corrected."""
-    A, Q = _validate_aq(A, Q)
-    W = np.linalg.inv(np.linalg.cholesky(Q)) @ A
+    w = _whitened_svd(A, Q)
+    W = w.c_inv @ w.A
     return W.T @ W
 
 
@@ -293,20 +292,18 @@ def lambda_matrix(A, Q, gamma: float) -> np.ndarray:
     on the directions the whitened C^{-1} A observes (see _whitened_svd) and 1 on
     its kernel, beside which eigenvalues below rounding of 1 are not resolved."""
     gamma = _check_gamma(gamma)
-    A, Q = _validate_aq(A, Q)
     return _step_matrix(_whitened_svd(A, Q), gamma)
 
 
-def decompose_lambda(A, Q, gamma: float, rank_tolerance: float = DEFAULT_RANK_TOL) -> LambdaDecomposition:
+def decompose_lambda(A, Q, gamma: float) -> LambdaDecomposition:
     """Eigen-split of the step matrix into kernel and observed subspaces, the
     nonzero eigenvalues of A^T Q^{-1} A being the squared singular values of the
-    whitened C^{-1} A above rank_tolerance times the largest.  The bases rebuild
+    whitened C^{-1} A above DEFAULT_RANK_TOL times the largest.  The bases rebuild
     lambda_matrix(A, Q, gamma) unless some sigma_i^2 lies between that cutoff and
     floating-point rank: L observes such a direction, the split puts it in the kernel."""
     gamma = _check_gamma(gamma)
-    A, Q = _validate_aq(A, Q)
     w = _whitened_svd(A, Q, complete=True)
-    rank = _spectral_rank(w, rank_tolerance)
+    rank = _spectral_rank(w)
     return LambdaDecomposition(
         lambda_matrix=_step_matrix(w, gamma),
         nonzero_eigs=w.sigma[:rank][::-1] ** 2,
@@ -330,11 +327,11 @@ def update(state: EstimatorState, batch: MeasurementBatch, config: EstimatorConf
     """Advance the estimate with one measurement batch.
 
     Solves (A^T Q^{-1} A + gamma I) x = gamma x_prev + A^T Q^{-1} (y - b) in
-    gain form x_prev + K (y - b - A x_prev), with K from the batch's whitened
-    SVD (see _gain).
+    gain form x_prev + K (y - b - A x_prev), with K from the whitened SVD the
+    batch took at construction (see _gain).
     """
     _check_step(state, batch, config)
-    K = _gain(_whitened_svd(batch.A, batch.Q), config.gamma)
+    K = _gain(batch._model, config.gamma)
     return EstimatorState(_advance(state.x_hat, K, batch.A, batch.effective_y()), batch.t)
 
 
@@ -349,7 +346,7 @@ def update_gradient_form(
     of the closed form.
     """
     _check_step(state, batch, config)
-    lam = lambda_matrix(batch.A, batch.Q, config.gamma)
+    lam = _step_matrix(batch._model, config.gamma)
     residual = batch.A @ state.x_hat - batch.effective_y()
     grad = batch.A.T @ np.linalg.solve(batch.Q, residual)
     x_new = state.x_hat - (lam @ grad) / config.gamma

@@ -234,10 +234,8 @@ def ensemble_from_dict(d: dict) -> SystemEnsemble:
     for i, rec in enumerate(d["members"]):
         if "A" not in rec:
             raise ValueError(f"member {i}: missing required field 'A'")
-        A = np.asarray(rec["A"], dtype=float)
-        Q = np.asarray(rec["Q"], dtype=float) if "Q" in rec else np.eye(A.shape[0])
-        members.append((A, Q))
-    return SystemEnsemble(tuple(members), int(d["n_states"]))
+        members.append((rec["A"], rec.get("Q")))
+    return SystemEnsemble(tuple(members), d["n_states"])
 
 
 def write_bound_reports_json(reports: dict[str, BoundReport], fobj: TextIO) -> None:

@@ -73,6 +73,11 @@ def derive_seed(master: int, index: int) -> int:
     return _mix64((int(master) & _MASK64) ^ _mix64(int(index) & _MASK64))
 
 
+def _check_nonnegative(value, name: str) -> None:
+    if not (np.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be nonnegative and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Measurement noise: 'bounded' uniform on [-delta_n/2, delta_n/2] per
@@ -84,8 +89,7 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in ("bounded", "gaussian"):
             raise ValueError(f"noise kind must be 'bounded' or 'gaussian', got {self.kind!r}")
-        if not (np.isfinite(self.delta_n) and self.delta_n >= 0):
-            raise ValueError(f"delta_n must be nonnegative and finite, got {self.delta_n}")
+        _check_nonnegative(self.delta_n, "delta_n")
         if self.kind == "gaussian" and self.delta_n <= 0:
             raise ValueError("gaussian noise requires delta_n > 0 (it is the covariance scale)")
         object.__setattr__(self, "delta_n", float(self.delta_n))
@@ -136,8 +140,7 @@ class ScenarioConfig:
             if int(value) != value or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value}")
             object.__setattr__(self, name, int(value))
-        if not (np.isfinite(self.delta_x) and self.delta_x >= 0):
-            raise ValueError(f"delta_x must be nonnegative and finite, got {self.delta_x}")
+        _check_nonnegative(self.delta_x, "delta_x")
         if not isinstance(self.noise, NoiseModel):
             raise ValueError("noise must be a NoiseModel")
         _check_gamma(self.gamma)
@@ -290,8 +293,7 @@ def generate_trajectory(n_states, horizon, delta_x, seed, x0=None):
     horizon increments, each coordinate uniform on [-delta_x/2, delta_x/2].
     x(0) is drawn from the same per-coordinate law unless given explicitly.
     """
-    if not (np.isfinite(delta_x) and delta_x >= 0):
-        raise ValueError(f"delta_x must be nonnegative and finite, got {delta_x}")
+    _check_nonnegative(delta_x, "delta_x")
     rng = np.random.default_rng(int(seed) & _MASK64)
     half = delta_x / 2.0
     if x0 is None:

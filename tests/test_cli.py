@@ -243,7 +243,14 @@ def test_bounds_grid_from_scenario(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "bad, message", [(["--tau", "0"], "tau"), (["--tau", "-3"], "tau"), (["--delta-x", "0"], "delta_x")]
+    "bad, message",
+    [
+        (["--tau", "0"], "tau"),
+        (["--tau", "-3"], "tau"),
+        (["--delta-x", "0"], "delta_x"),
+        (["--delta-x", "nan"], "delta_x"),
+        (["--delta-n", "-1"], "delta_n"),
+    ],
 )
 def test_bounds_invalid_input_exits_2_and_writes_nothing(tmp_path, capsys, bad, message):
     ens = write_json(tmp_path / "ens.json", {"n_states": 1, "members": [{"A": [[1.0]]}]})
@@ -252,6 +259,15 @@ def test_bounds_invalid_input_exits_2_and_writes_nothing(tmp_path, capsys, bad, 
     assert message in capsys.readouterr().err
     assert not out.exists()
     assert not (tmp_path / "bounds.csv.report.json").exists()
+
+
+@pytest.mark.parametrize("n_states", [3.9, "3"])
+def test_bounds_non_integer_n_states_exits_2(tmp_path, capsys, n_states):
+    ens = write_json(tmp_path / "ens.json", {"n_states": n_states, "members": [{"A": np.eye(3).tolist()}]})
+    out = tmp_path / "bounds.csv"
+    assert main(["bounds", ens, str(out), "--gamma", "1.0", "--tau", "1"]) == 2
+    assert "n_states must be an integer" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bounds_rank_deficient_member_exits_3(tmp_path, capsys):

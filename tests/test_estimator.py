@@ -16,7 +16,7 @@ from wlstrack.estimator import (
     update_gradient_form,
 )
 
-from helpers import dense_update_oracle, random_spd, rel_err, unit_frobenius
+from helpers import count_calls, dense_update_oracle, random_spd, rel_err, unit_frobenius
 
 
 # ---------------------------------------------------------------- lambda_matrix
@@ -545,6 +545,28 @@ def test_batch_validates_inputs():
 def test_batch_defaults_q_to_identity():
     batch = MeasurementBatch(1, [1.0, 2.0], np.eye(2))
     assert np.array_equal(batch.Q, np.eye(2))
+
+
+def test_batch_and_its_update_factor_the_model_once(monkeypatch):
+    # The Cholesky factor that validates Q is the one the update's gain reads.
+    cholesky = count_calls(monkeypatch, np.linalg, "cholesky")
+    svd = count_calls(monkeypatch, np.linalg, "svd")
+    rng = np.random.default_rng(7)
+    batch = MeasurementBatch(1, rng.standard_normal(3), rng.standard_normal((3, 5)), random_spd(rng, 3))
+    update(initial_state(5), batch, EstimatorConfig(0.5, 5))
+    assert (len(cholesky), len(svd)) == (1, 1)
+
+
+def test_batch_keeps_read_only_copies_of_its_model():
+    A, Q = np.array([[1.0, 0.0, 0.0]]), np.array([[1.0]])
+    batch = MeasurementBatch(1, [1.0], A, Q)
+    A[0] = [0.0, 1.0, 1.0]
+    Q[0, 0] = 4.0
+    x_hat = update(initial_state(3), batch, EstimatorConfig(1.0, 3)).x_hat
+    assert np.allclose(x_hat, [0.5, 0.0, 0.0], rtol=0.0, atol=1e-15)
+    for M in (batch.A, batch.Q):
+        with pytest.raises(ValueError):
+            M[0, 0] = 0.0
 
 
 def test_config_and_state_validation():

@@ -451,15 +451,15 @@ def test_run_sequence_is_the_sequence_each_run_uses():
 def test_shared_rank_memo_draws_the_same_sequences(monkeypatch):
     # Window ranks are memoized per ensemble by member multiset; sequences
     # drawn through one shared ensemble equal those drawn through a fresh
-    # one each, and the shared ensemble takes at most C(L, k) SVDs.
+    # one each, and the shared ensemble takes at most C(L, k) window SVDs.
     sc = ScenarioConfig(
         n_states=15, n_meas=3, horizon=100, library_size=10, delta_x=1.0,
         noise=NoiseModel("bounded", 1.0), gamma=0.25, n_runs=100, seed=20260808,
     )
     seeds = [derive_seed(seed_for_run(sc, i), 0) for i in range(sc.n_runs)]
     fresh = [generate_sequence(build_ensemble(sc), sc.horizon, "window", s, 5) for s in seeds]
+    shared = build_ensemble(sc)  # factors its members before the count starts
     svd_calls = count_calls(monkeypatch, np.linalg, "svd")
-    shared = build_ensemble(sc)
     for seed, expected in zip(seeds, fresh):
         assert np.array_equal(generate_sequence(shared, sc.horizon, "window", seed, 5), expected)
     assert 0 < len(svd_calls) <= math.comb(10, 5)
