@@ -13,16 +13,21 @@ trajectory and noise, independently of which runs are simulated together.
 Run i draws its seed from (seed, i) alone, so extending n_runs keeps the
 earlier runs identical.
 
+The 'window' member sequences take their candidates from bulk
+rng.integers draws; a bulk draw gives the same values as the same number of
+scalar draws, so the seed contract above is unchanged by it.
+
 Monte Carlo runs are stepped in lockstep: a block of runs is drawn once,
-then advanced one step at a time as a stack, gathering each run's member
-matrix and precomputed member gain, through the same step kernel that
-estimator.update uses.
+then advanced one step at a time as one stack over the runs and every gamma
+of a sweep, gathering each run's member matrix and precomputed member gain
+at each gamma, through the same step kernel that estimator.update uses.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -228,6 +233,17 @@ def generate_library(n_states, n_meas, library_size, seed, q_scale: float = 1.0)
     return SystemEnsemble(tuple(members), int(n_states))
 
 
+# Candidates drawn per rng.integers call by the 'window' policy.  It sets
+# only the speed, never a sequence (see generate_sequence).
+_CANDIDATE_CHUNK = 512
+
+
+def _candidate_stream(rng: np.random.Generator, size: int) -> Iterator[int]:
+    """The endless stream of rng.integers(0, size) draws, taken in chunks."""
+    while True:
+        yield from rng.integers(0, size, size=_CANDIDATE_CHUNK).tolist()
+
+
 def generate_sequence(
     ensemble: SystemEnsemble,
     horizon: int,
@@ -242,9 +258,15 @@ def generate_sequence(
     candidates until each completed window's stacked matrix has full column
     rank, so every window jointly observes the state.  Infeasible window
     settings (too few library members for distinctness, or too few stacked
-    rows to ever reach full rank) raise before any sampling.  Window ranks
-    are memoized on the ensemble, so sequences drawn from one ensemble share
-    them.
+    rows to ever reach full rank) raise before any sampling; a step that
+    rejects 1000 * L candidates in a row raises RuntimeError naming the
+    step.  Window ranks are memoized on the ensemble, so sequences drawn
+    from one ensemble share them.
+
+    The candidates are drawn in chunks of _CANDIDATE_CHUNK, by one
+    rng.integers call each.  A bulk draw gives the same values as that many
+    scalar rng.integers(0, L) calls, so the sequence of a seed does not
+    depend on the chunk.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -266,15 +288,16 @@ def generate_sequence(
     if size < k:
         raise ValueError(f"library of {size} members cannot fill a window of {k} without repeats")
 
+    candidates = _candidate_stream(rng, size)
     indices: list[int] = []
     max_attempts = 1000 * size
     for pos in range(horizon):
-        forbidden = set(indices[-(k - 1):]) if k > 1 else set()
-        for _ in range(max_attempts):
-            cand = int(rng.integers(0, size))
+        forbidden = indices[-(k - 1):] if k > 1 else []
+        complete = pos >= k - 1
+        for cand in islice(candidates, max_attempts):
             if cand in forbidden:
                 continue
-            if pos >= k - 1 and not ensemble.window_full_rank(indices[pos - k + 1 :] + [cand]):
+            if complete and not ensemble.window_full_rank(forbidden + [cand]):
                 continue
             indices.append(cand)
             break
@@ -343,11 +366,14 @@ def run_sequence(scenario: ScenarioConfig, ensemble: SystemEnsemble, run_seed: i
 
 
 # Runs stepped together in one lockstep block.  It sets the engine's memory
-# (one block's arrays, and the previous block's while the next is drawn) and
-# its per-run Python overhead, never the results: each run's arithmetic is
-# the same in a block of any size.  At 8, the peak resident memory of
-# `wlstrack sweep` and `simulate` on the 15-state acceptance scenario stays
-# within about 2% of that of stepping one run at a time.
+# and its per-run Python overhead, never the results: each run's arithmetic
+# is the same in a block of any size.  The memory is one block's draws (and
+# the previous block's while the next is drawn) and one estimate buffer of
+# G x BLOCK_RUNS x (T + 1) x N doubles, which grows with the number G of
+# gammas stepped together: 0.96 MB for a 5-gamma sweep of the 15-state,
+# 200-step acceptance scenario.  At 8, that sweep over 40 runs peaks about
+# 2 MB (5%) above stepping one run at a time, in a process that holds only
+# wlstrack and numpy.
 BLOCK_RUNS = 8
 
 
@@ -392,48 +418,59 @@ def _draw_block(sc: ScenarioConfig, ensemble, matrices, seeds, member_sequence) 
     )
 
 
-def _step_block(block: _Block, matrices, gains, x_hat0):
-    """Step all runs of a block together; return the R x (T + 1) x N estimates
-    and the R x T error norms ||x_hat(t) - x(t)||.
+def _step_block(block: _Block, matrices, gains, x_hat0, out):
+    """Step all runs of a block at every gamma together; return the
+    G x R x (T + 1) x N estimates, written into `out`, and the G x R x T
+    error norms ||x_hat(t) - x(t)||.
 
-    Each step gathers every run's member matrix and gain and applies the
-    estimator's own step kernel to the stack.  The norms take one BLAS dot
-    per run and step, as numpy.linalg.norm does for a single vector.
+    gains stacks the library's member gains at each gamma (G x L x N x M).
+    Each step gathers every run's member matrix and its gain at each gamma
+    and applies the estimator's own step kernel once, to the G x R stack.
+    The norms take one BLAS dot per gamma, run and step, as
+    numpy.linalg.norm does for a single vector.
     """
     R, T = block.sequences.shape
-    estimates = np.empty((R, T + 1, x_hat0.shape[0]))
-    estimates[:, 0] = x_hat0
+    estimates = out[:, :R]
+    estimates[:, :, 0] = x_hat0
     for t in range(T):
         members = block.sequences[:, t]
-        estimates[:, t + 1] = _advance(
-            estimates[:, t], gains[members], matrices[members], block.measurements[:, t]
+        estimates[:, :, t + 1] = _advance(
+            estimates[:, :, t], gains[:, members], matrices[members], block.measurements[:, t]
         )
-    d = (estimates - block.states)[:, 1:, :, None]
-    return estimates, np.sqrt((d.swapaxes(2, 3) @ d)[..., 0, 0])
+    errors = np.empty((gains.shape[0], R, T))
+    for layer, norms in zip(estimates, errors):
+        d = (layer - block.states)[:, 1:, :, None]
+        norms[:] = np.sqrt((d.swapaxes(2, 3) @ d)[..., 0, 0])
+    return estimates, errors
 
 
 def _lockstep(sc: ScenarioConfig, ensemble, gammas, seeds, member_sequence):
-    """Yield (block, gamma index, stepped) for every block of runs and every gamma.
+    """Yield (block, estimates, errors) for every block of runs.
 
     The runs with the given seeds go through in blocks of BLOCK_RUNS.  Each
-    block is drawn once and stepped at every gamma with the library's member
-    gains; stepped is what _step_block returns.
+    block is drawn once and stepped at all gammas at once with the library's
+    member gains, so a block takes T kernel calls whatever the number of
+    gammas; estimates and errors are what _step_block returns, with the
+    gamma index first.  The estimates of every block share one buffer, so
+    a block's estimates are overwritten by the next block's: copy what you
+    keep.
     """
     matrices = np.stack([A for A, _ in ensemble.members])
-    gains = [ensemble.member_gains(g) for g in gammas]
+    gains = np.stack([ensemble.member_gains(g) for g in gammas])
     x_hat0 = initial_state(sc.n_states, sc.x_hat0).x_hat
     if member_sequence is not None:
         member_sequence = np.asarray(member_sequence, dtype=int)
         if member_sequence.shape != (sc.horizon,):
             raise ValueError(f"member_sequence has shape {member_sequence.shape}, expected ({sc.horizon},)")
+    out = np.empty((len(gammas), min(BLOCK_RUNS, len(seeds)), sc.horizon + 1, sc.n_states))
     for first in range(0, len(seeds), BLOCK_RUNS):
         block = _draw_block(sc, ensemble, matrices, seeds[first : first + BLOCK_RUNS], member_sequence)
-        for index, K in enumerate(gains):
-            yield block, index, _step_block(block, matrices, K, x_hat0)
+        yield block, *_step_block(block, matrices, gains, x_hat0, out)
 
 
-def _run_results(block: _Block, stepped, keep_details) -> Iterator[RunResult]:
-    estimates, errors = stepped
+def _run_results(block: _Block, estimates, errors, keep_details) -> Iterator[RunResult]:
+    """The block's runs at one gamma, from that gamma's R x (T + 1) x N
+    estimates and R x T error norms."""
     for r, seed in enumerate(block.seeds):
         yield RunResult(
             per_step_error=errors[r],
@@ -472,8 +509,8 @@ def simulate_run(
     if ensemble is None:
         ensemble = build_ensemble(scenario)
     steps = _lockstep(scenario, ensemble, [scenario.gamma], [int(run_seed)], member_sequence)
-    block, _, stepped = next(steps)
-    return next(_run_results(block, stepped, keep_details))
+    block, estimates, errors = next(steps)
+    return next(_run_results(block, estimates[0], errors[0], keep_details))
 
 
 def iter_runs(
@@ -495,8 +532,8 @@ def iter_runs(
     if ensemble is None:
         ensemble = build_ensemble(scenario)
     seeds = [seed_for_run(scenario, i) for i in range(scenario.n_runs)]
-    for block, _, stepped in _lockstep(scenario, ensemble, [scenario.gamma], seeds, member_sequence):
-        yield from _run_results(block, stepped, keep_details)
+    for block, estimates, errors in _lockstep(scenario, ensemble, [scenario.gamma], seeds, member_sequence):
+        yield from _run_results(block, estimates[0], errors[0], keep_details)
 
 
 def summarize(norms: Sequence[np.ndarray], xi: Sequence[np.ndarray] | None = None) -> McSummary:
@@ -527,8 +564,11 @@ def sweep(
 ) -> list[McSummary]:
     """monte_carlo(scenario.with_gamma(g), ...) for every g in gammas.
 
-    Run seeds do not depend on gamma, so every run is drawn once and stepped
-    at each gamma; summary i equals the one-gamma monte_carlo bit for bit.
+    Run seeds do not depend on gamma, so every run is drawn once.  Each
+    block of BLOCK_RUNS runs is stepped at all gammas at once, one step
+    kernel call per step whatever the number of gammas; each run's
+    arithmetic is the same as alone, so summary i equals the one-gamma
+    monte_carlo bit for bit.
     """
     _check_jobs(n_jobs)
     gammas = [_check_gamma(g) for g in gammas]
@@ -537,12 +577,13 @@ def sweep(
     seeds = [seed_for_run(scenario, i) for i in range(scenario.n_runs)]
     norms = [[] for _ in gammas]
     xi = [[] for _ in gammas]
-    for block, index, (estimates, errors) in _lockstep(
+    for block, estimates, errors in _lockstep(
         scenario, build_ensemble(scenario), gammas, seeds, member_sequence
     ):
-        norms[index].extend(errors)
-        if track_covariance:
-            xi[index].extend(estimates[:, 1:] - block.states[:, 1:])
+        for index in range(len(gammas)):
+            norms[index].extend(errors[index])
+            if track_covariance:
+                xi[index].extend(estimates[index, :, 1:] - block.states[:, 1:])
     return [summarize(n, x if track_covariance else None) for n, x in zip(norms, xi)]
 
 

@@ -421,6 +421,21 @@ def test_verify_passes_on_small_instance(tmp_path, capsys):
     assert "FAIL" not in out
 
 
+def test_verify_fails_only_mean_bound_on_benchmark_scenario(tmp_path, capsys):
+    # The benchmark scenario (seed 7, gamma 0.25) draws a 4-state instance
+    # whose window products reach norm 0.99995 against psi = 0.293, so the
+    # psi-rate mean bound does not hold there, for the cause documented for
+    # criteria 2a and 2b.  Pinned as it stands; no check is relaxed for it.
+    config = minimal_scenario(n_states=15, n_meas=3, horizon=200, library_size=10,
+                              gamma=0.25, n_runs=50, seed=7, sequence_policy="window")
+    cfg = write_json(tmp_path / "sc.json", config)
+    assert main(["verify", cfg]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if not line.startswith("PASS ")] == [
+        "FAIL mean_bound_validity (max_excess=7.228e-01)"
+    ]
+
+
 # ------------------------------------------------------------- determinism
 
 def test_repeated_invocations_are_byte_identical(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -103,6 +104,69 @@ def test_sequence_uniform_policy_allows_repeats():
     ens = generate_library(15, 3, 10, 20260808)
     seq = generate_sequence(ens, 80, "uniform", 3)
     assert np.any(seq[1:] == seq[:-1])
+
+
+# sha256 (first 16 hex digits) of the int64 member sequences for SEQUENCE_SEEDS,
+# concatenated, recorded before candidates were drawn in bulk.  A change here
+# changes every simulated run of those seeds.
+SEQUENCE_SEEDS = tuple(range(12)) + (20260808, 2**64 - 1)
+SEQUENCE_HASHES = {
+    ("acceptance", 200, "window", None): "ca69af935abb746c",
+    ("acceptance", 200, "uniform", None): "8540922bc29e7a20",
+    ("small", 60, "window", None): "02f5c41caf79c36c",
+    ("small", 60, "window", 3): "83ba71e7483cf24c",
+    ("small", 60, "uniform", None): "93bea81fd5eb6b0a",
+}
+
+
+@pytest.mark.parametrize("library, horizon, policy, window", list(SEQUENCE_HASHES))
+def test_sequences_of_fixed_seeds_are_unchanged(library, horizon, policy, window):
+    if library == "acceptance":
+        ens = build_ensemble(small_scenario(
+            n_states=15, n_meas=3, library_size=10, gamma=0.25, seed=20260808))
+    else:
+        ens = generate_library(4, 2, 3, 11)  # L = 3
+    digest = hashlib.sha256()
+    for seed in SEQUENCE_SEEDS:
+        seq = generate_sequence(ens, horizon, policy, seed, window)
+        digest.update(np.asarray(seq, dtype=np.int64).tobytes())
+    assert digest.hexdigest()[:16] == SEQUENCE_HASHES[library, horizon, policy, window]
+
+
+@pytest.mark.parametrize("size", [3, 10, 17, 1000])
+def test_bulk_integer_draws_equal_scalar_draws(size):
+    # generate_sequence draws its candidates in chunks; the seed contract
+    # needs a bulk draw to give the values of as many scalar draws, however
+    # the draws are split.  A numpy release that broke this would change
+    # every 'window' sequence, so it must fail here.
+    for seed in (0, 5, 20260808, 2**63 + 11):
+        scalar_rng = np.random.default_rng(seed)
+        scalar = [int(scalar_rng.integers(0, size)) for _ in range(3000)]
+        bulk_rng = np.random.default_rng(seed)
+        assert bulk_rng.integers(0, size, size=3000).tolist() == scalar
+        chunked_rng = np.random.default_rng(seed)
+        chunks = [chunked_rng.integers(0, size, size=n).tolist() for n in (1, 512, 1000, 7, 1480)]
+        assert sum(chunks, []) == scalar
+        # the generators end in the same state, so later draws agree too
+        after = [rng.integers(0, size, size=5).tolist() for rng in (scalar_rng, bulk_rng, chunked_rng)]
+        assert after[0] == after[1] == after[2]
+
+
+def test_sequence_window_never_full_rank_raises_at_first_full_window():
+    # Every member's row lies in the plane x3 = 0, so the window passes the
+    # pre-checks (3 members of 1 row for 3 states, 4 >= 3 members) but no
+    # window can reach full column rank: the first full window, step 3,
+    # exhausts its 1000 * L candidates.
+    members = tuple(
+        (np.array([[np.cos(a), np.sin(a), 0.0]]), np.eye(1)) for a in (0.1, 0.9, 1.7, 2.5)
+    )
+    ens = analysis.SystemEnsemble(members, 3)
+    with pytest.raises(RuntimeError) as err:
+        generate_sequence(ens, 10, "window", 1)
+    assert str(err.value) == (
+        "could not extend the window-constrained sequence at step 3; "
+        "the library may not contain enough jointly observing windows"
+    )
 
 
 def test_sequence_window_infeasible_raises_before_sampling():
@@ -423,6 +487,16 @@ def test_sweep_columns_equal_monte_carlo_bitwise():
         assert np.array_equal(summary.mean_error, single.mean_error)
         assert np.array_equal(summary.rms_error, single.rms_error)
         assert np.array_equal(summary.empirical_cov, single.empirical_cov)
+
+
+def test_sweep_kernel_calls_do_not_grow_with_gammas(monkeypatch):
+    sc = small_scenario(n_runs=simulation.BLOCK_RUNS + 2)
+    blocks = math.ceil(sc.n_runs / simulation.BLOCK_RUNS)
+    calls = count_calls(monkeypatch, simulation, "_advance")
+    for gammas in ([0.5], [0.01, 0.1, 0.5, 1.0, 2.0]):
+        calls.clear()
+        simulation.sweep(sc, gammas)
+        assert len(calls) == sc.horizon * blocks
 
 
 def test_sweep_draws_each_run_once(monkeypatch):
