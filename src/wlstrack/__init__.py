@@ -30,6 +30,7 @@ from .analysis import (
     bound_series_bounded,
     contraction_norm,
     ensemble_constants,
+    gamma_star,
     gamma_star_bounded,
     gamma_star_stochastic,
     h_bounded,

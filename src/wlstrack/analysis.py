@@ -66,6 +66,7 @@ __all__ = [
     "bound_finite_stochastic",
     "h_stochastic",
     "gamma_star_stochastic",
+    "gamma_star",
     "contraction_norm",
     "bound_report",
 ]
@@ -214,13 +215,13 @@ def _lambda_1(w: _Whitened, name: str = "matrix") -> float:
     return float(w.sigma[rank - 1] ** 2)
 
 
-def observability_window(sequence: Sequence[int], ensemble: SystemEnsemble, max_window: int | None = None):
+def observability_window(sequence: Sequence[int], ensemble: SystemEnsemble):
     """Smallest tau such that every tau consecutive matrices of the sequence
     jointly observe the full state.
 
     The kernel-intersection condition is checked by
     SystemEnsemble.window_full_rank.  Returns None when no window length up to
-    len(sequence) (or max_window) works.
+    len(sequence) works.
     """
     seq = [int(i) for i in sequence]
     if not seq:
@@ -232,8 +233,7 @@ def observability_window(sequence: Sequence[int], ensemble: SystemEnsemble, max_
     rows = np.array([ensemble.members[i][0].shape[0] for i in seq])
     prefix = np.concatenate([[0], np.cumsum(rows)])
     horizon = len(seq)
-    hi = horizon if max_window is None else min(int(max_window), horizon)
-    for tau in range(1, hi + 1):
+    for tau in range(1, horizon + 1):
         # A window with fewer rows than columns can never have full column rank.
         window_rows = prefix[tau:] - prefix[:-tau]
         if window_rows.min() < n:
@@ -471,25 +471,25 @@ def h_stochastic(gamma, tau, capital_c, m, delta_x, lambda_bar) -> float:
     )
 
 
-def gamma_star_stochastic(
-    tau,
-    capital_c,
-    m,
-    delta_x,
-    lambda_bar,
-    search_interval=(1e-3, 1e3),
-    tolerance: float = 1e-8,
-    n_probe: int = 129,
-    grid_points: int = 10_000,
-) -> float:
+# gamma_star_stochastic probes h_stochastic at this many log-spaced points,
+# then refines the bracket around the sampled minimum down to this width.
+PROBE_POINTS = 129
+GOLDEN_SECTION_TOL = 1e-8
+
+
+def gamma_star_stochastic(tau, capital_c, m, delta_x, lambda_bar, search_interval=(1e-3, 1e3)) -> float:
     """Minimizer of h_stochastic over search_interval.
 
-    The profile is probed on a log-spaced sample first; if it looks unimodal
-    (nonincreasing then nondecreasing), a golden-section search refines the
-    bracket around the sampled minimum down to `tolerance`.  Otherwise the
-    argmin of a dense log-spaced grid is returned and a warning issued.
+    In u = log(gamma), log h_s = 1/2 log((C m)^2 e^{-4u} + delta_x^2)
+    + log(1 + e^u / lambda_bar) + log(tau): a log-sum-exp of affine terms
+    plus a softplus, so convex for lambda_bar > 0.  The profile is therefore
+    unimodal on a log scale, and the minimum of the PROBE_POINTS log-spaced
+    probe brackets the minimizer, which a golden-section search refines down
+    to GOLDEN_SECTION_TOL.
     """
     tau = _check_tau(tau)
+    if not (0 < lambda_bar < np.inf):
+        raise ValueError(f"lambda_bar must be positive and finite, got {lambda_bar}")
     lo, hi = float(search_interval[0]), float(search_interval[1])
     if not (0 < lo < hi):
         raise ValueError(f"search_interval must satisfy 0 < lo < hi, got {search_interval}")
@@ -497,28 +497,15 @@ def gamma_star_stochastic(
     def f(g: float) -> float:
         return h_stochastic(g, tau, capital_c, m, delta_x, lambda_bar)
 
-    xs = np.geomspace(lo, hi, n_probe)
-    vals = np.array([f(x) for x in xs])
-    diffs = np.diff(vals)
-    slack = 1e-12 * float(np.abs(vals).max())
-    rising = np.nonzero(diffs > slack)[0]
-    first_rise = rising[0] if rising.size else len(diffs)
-    unimodal = bool(
-        np.all(diffs[:first_rise] <= slack) and np.all(diffs[first_rise:] >= -slack)
-    )
-    if not unimodal:
-        warnings.warn("sampled bound profile is not unimodal; falling back to grid argmin")
-        grid = np.geomspace(lo, hi, grid_points)
-        return float(grid[np.argmin([f(g) for g in grid])])
-
-    k = int(np.argmin(vals))
+    xs = np.geomspace(lo, hi, PROBE_POINTS)
+    k = int(np.argmin([f(x) for x in xs]))
     a = xs[max(k - 1, 0)]
     b = xs[min(k + 1, len(xs) - 1)]
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
     c_pt = b - inv_phi * (b - a)
     d_pt = a + inv_phi * (b - a)
     fc, fd = f(c_pt), f(d_pt)
-    while b - a > tolerance:
+    while b - a > GOLDEN_SECTION_TOL:
         if fc <= fd:
             b, d_pt, fd = d_pt, c_pt, fc
             c_pt = b - inv_phi * (b - a)
@@ -528,6 +515,15 @@ def gamma_star_stochastic(
             d_pt = a + inv_phi * (b - a)
             fd = f(d_pt)
     return float(0.5 * (a + b))
+
+
+def gamma_star(noise_mode: str, consts: EnsembleConstants, tau, delta_x, delta_n) -> float:
+    """Bound-optimal inertia weight for noise_mode 'bounded' (tau is not read) or 'gaussian'."""
+    if noise_mode == "bounded":
+        return gamma_star_bounded(consts.c, consts.lambda_bar, delta_n, delta_x)
+    if noise_mode == "gaussian":
+        return gamma_star_stochastic(tau, consts.capital_c, consts.m, delta_x, consts.lambda_bar)
+    raise ValueError(f"noise_mode must be 'bounded' or 'gaussian', got {noise_mode!r}")
 
 
 def contraction_norm(window) -> float:
@@ -592,26 +588,18 @@ def bound_report(
     delta_x: float,
     delta_n: float,
     noise_mode: str = "bounded",
-    search_interval=(1e-3, 1e3),
 ) -> BoundReport:
     """Evaluate every bound at one gamma and attach the optimal gamma for the mode."""
     tau = _check_tau(tau)
     gamma = _check_gamma(gamma)
-    if noise_mode not in ("bounded", "gaussian"):
-        raise ValueError(f"noise_mode must be 'bounded' or 'gaussian', got {noise_mode!r}")
     consts = ensemble_constants(ensemble)
+    star = gamma_star(noise_mode, consts, tau, delta_x, delta_n)
     lb = consts.lambda_bar
     psi_value = psi_from_lambda_bar(gamma, lb)
     h_b = h_bounded(gamma, tau, delta_x, consts.c, delta_n, lb)
     h_mu = float(tau * delta_x * (1.0 + gamma / lb))
     h_sigma = float(tau * consts.capital_c * consts.m / gamma**2 * (1.0 + gamma / lb))
     h_s = h_stochastic(gamma, tau, consts.capital_c, consts.m, delta_x, lb)
-    if noise_mode == "bounded":
-        gamma_star = gamma_star_bounded(consts.c, lb, delta_n, delta_x)
-    else:
-        gamma_star = gamma_star_stochastic(
-            tau, consts.capital_c, consts.m, delta_x, lb, search_interval
-        )
     return BoundReport(
         tau=tau,
         psi=psi_value,
@@ -626,5 +614,5 @@ def bound_report(
         h_mu=h_mu,
         h_sigma=h_sigma,
         h_s=h_s,
-        gamma_star=float(gamma_star),
+        gamma_star=float(star),
     )

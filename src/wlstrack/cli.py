@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import analysis, io, simulation
-from .estimator import EstimatorConfig, EstimatorState, initial_state, update
+from .estimator import EstimatorConfig, EstimatorState, _as_float_array, _check_gamma, initial_state, update
 from .verification import run_verification
 
 EXIT_OK = 0
@@ -40,21 +40,23 @@ def _load_scenario(path: str) -> simulation.ScenarioConfig:
     return io.scenario_from_dict(_load_json(path))
 
 
-def _probe_tau(scenario: simulation.ScenarioConfig, ensemble) -> int:
-    """Observability window of the first run's member sequence."""
-    run0 = simulation.seed_for_run(scenario, 0)
-    return _sequence_tau(simulation.run_sequence(scenario, ensemble, run0), ensemble)
+NO_WINDOW = (
+    "no window of the generated sequence reaches joint full rank; "
+    "the error bounds do not apply (try the 'window' sequence policy)"
+)
 
 
-def _sequence_tau(sequence, ensemble) -> int:
-    """Observability window of a member sequence; raises when there is none."""
+def _tau(sequence, ensemble, advice: str = NO_WINDOW) -> int:
+    """Observability window of a member sequence; LinAlgError(advice) when there is none."""
     tau = analysis.observability_window(sequence, ensemble)
     if tau is None:
-        raise np.linalg.LinAlgError(
-            "no window of the generated sequence reaches joint full rank; "
-            "the error bounds do not apply (try the 'window' sequence policy)"
-        )
+        raise np.linalg.LinAlgError(advice)
     return tau
+
+
+def _run0_sequence(scenario: simulation.ScenarioConfig, ensemble):
+    """Member sequence of the scenario's first run, whose window stands for the scenario's."""
+    return simulation.run_sequence(scenario, ensemble, simulation.seed_for_run(scenario, 0))
 
 
 def _parse_gammas(text: str) -> list[float]:
@@ -90,7 +92,7 @@ def cmd_simulate(args) -> int:
         scenario, n_jobs=args.jobs, keep_details=keep_details, ensemble=ensemble
     )
     run0 = next(runs)
-    tau = _sequence_tau(run0.member_indices, ensemble)
+    tau = _tau(run0.member_indices, ensemble)
     consts = analysis.ensemble_constants(ensemble)
     psi_value = analysis.psi_from_lambda_bar(scenario.gamma, consts.lambda_bar)
     print(
@@ -122,23 +124,19 @@ def cmd_sweep(args) -> int:
 
 def cmd_bounds(args) -> int:
     payload = _load_json(args.input)
+    tau = args.tau
     if isinstance(payload, dict) and "members" in payload:
         ensemble = io.ensemble_from_dict(payload)
         delta_x = 1.0 if args.delta_x is None else args.delta_x
         delta_n = 1.0 if args.delta_n is None else args.delta_n
-        if args.tau is not None:
-            tau = args.tau
-        else:
-            round_robin = list(range(len(ensemble.members))) * 3
-            tau = analysis.observability_window(round_robin, ensemble)
-            if tau is None:
-                raise np.linalg.LinAlgError(
-                    "round-robin over the ensemble never reaches joint full rank; pass --tau"
-                )
+        if tau is None:
+            advice = "round-robin over the ensemble never reaches joint full rank; pass --tau"
+            tau = _tau(list(range(len(ensemble))) * 3, ensemble, advice)
     else:
         scenario = io.scenario_from_dict(payload)
         ensemble = simulation.build_ensemble(scenario)
-        tau = args.tau if args.tau is not None else _probe_tau(scenario, ensemble)
+        if tau is None:
+            tau = _tau(_run0_sequence(scenario, ensemble), ensemble)
         delta_x = scenario.delta_x if args.delta_x is None else args.delta_x
         delta_n = scenario.noise.delta_n if args.delta_n is None else args.delta_n
     simulation._check_nonnegative(delta_x, "delta_x")
@@ -163,18 +161,9 @@ def cmd_bounds(args) -> int:
     ]
     reports = {}
     for mode in ("bounded", "gaussian"):
-        star_gamma = args.gamma
-        if star_gamma is None:
-            if mode == "bounded":
-                star = analysis.gamma_star_bounded(consts.c, consts.lambda_bar, delta_n, delta_x)
-            else:
-                star = analysis.gamma_star_stochastic(
-                    tau, consts.capital_c, consts.m, delta_x, consts.lambda_bar
-                )
-            star_gamma = star if star > 0 else gammas[0]
-        reports[mode] = analysis.bound_report(
-            ensemble, tau, star_gamma, delta_x, delta_n, noise_mode=mode
-        )
+        # --gamma (h_b rejected any but a positive one), else gamma*, else gammas[0] when gamma* is 0.
+        gamma = args.gamma or analysis.gamma_star(mode, consts, tau, delta_x, delta_n) or gammas[0]
+        reports[mode] = analysis.bound_report(ensemble, tau, gamma, delta_x, delta_n, noise_mode=mode)
     with open(args.out, "w", encoding="utf-8") as fobj:
         io.write_bounds_csv(gammas, h_b, h_s, fobj)
     report_path = args.report if args.report else args.out + ".report.json"
@@ -189,26 +178,23 @@ def cmd_gamma_star(args) -> int:
     ensemble = simulation.build_ensemble(scenario)
     consts = analysis.ensemble_constants(ensemble)
     mode = args.mode if args.mode else scenario.noise.kind
-    if mode == "bounded":
-        star = analysis.gamma_star_bounded(
-            consts.c, consts.lambda_bar, scenario.noise.delta_n, scenario.delta_x
-        )
-    else:
-        tau = _probe_tau(scenario, ensemble)
-        star = analysis.gamma_star_stochastic(
-            tau, consts.capital_c, consts.m, scenario.delta_x, consts.lambda_bar
-        )
+    # The bounded-noise gamma* does not depend on tau, so it is not computed there.
+    tau = None if mode == "bounded" else _tau(_run0_sequence(scenario, ensemble), ensemble)
+    star = analysis.gamma_star(mode, consts, tau, scenario.delta_x, scenario.noise.delta_n)
     print(io.format_float(star))
     return EXIT_OK
 
 
 def cmd_replay(args) -> int:
+    # Check the options before any file is opened, so that rejected input writes nothing.
+    _check_gamma(args.gamma)
     x0 = None
     if args.x0 is not None:
         try:
             x0 = [float(part) for part in args.x0.split(",") if part.strip()]
         except ValueError:
             raise ValueError(f"could not parse --x0 {args.x0!r}") from None
+        x0 = _as_float_array(x0, "x0", 1)
     state: EstimatorState | None = None
     config = None
     with open(args.measurements, "r", encoding="utf-8") as src, open(

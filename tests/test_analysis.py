@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wlstrack import analysis
 from wlstrack.analysis import (
@@ -11,6 +13,7 @@ from wlstrack.analysis import (
     bound_series_bounded,
     contraction_norm,
     ensemble_constants,
+    gamma_star,
     gamma_star_bounded,
     gamma_star_stochastic,
     h_bounded,
@@ -463,6 +466,57 @@ def test_gamma_star_stochastic_matches_grid():
     k = int(np.argmin(values))
     cell = grid[min(k + 1, grid.size - 1)] - grid[max(k - 1, 0)]
     assert abs(star - grid[k]) <= cell
+
+
+def log_uniform(lo_exp, hi_exp):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
+
+
+@given(
+    tau=st.integers(1, 50),
+    capital_c=st.just(0.0) | log_uniform(-8, 8),
+    m=st.just(0.0) | log_uniform(-8, 8),
+    delta_x=st.just(0.0) | log_uniform(-8, 8),
+    lambda_bar=log_uniform(-8, 8),
+)
+def test_property_stochastic_bound_probe_is_unimodal(tau, capital_c, m, delta_x, lambda_bar):
+    # log h_s is convex in log(gamma), so on the log-spaced probe that
+    # gamma_star_stochastic brackets its minimum with, h_s never rises and
+    # then falls again (beyond 1e-12 of its largest value): the sampled
+    # argmin's neighbours bracket the minimizer.
+    xs = np.geomspace(1e-3, 1e3, analysis.PROBE_POINTS)
+    vals = np.array([h_stochastic(g, tau, capital_c, m, delta_x, lambda_bar) for g in xs])
+    diffs = np.diff(vals)
+    slack = 1e-12 * np.abs(vals).max()
+    rising = np.nonzero(diffs > slack)[0]
+    if rising.size:
+        assert np.all(diffs[rising[0]:] >= -slack)
+
+
+@pytest.mark.parametrize("lambda_bar", [0.0, -0.5, np.nan, np.inf])
+def test_gamma_star_stochastic_rejects_lambda_bar_outside_positive_reals(lambda_bar):
+    with pytest.raises(ValueError, match="lambda_bar must be positive and finite"):
+        gamma_star_stochastic(3, 1.0, 1.0, 1.0, lambda_bar)
+
+
+# ----------------------------------------------------------------- gamma_star
+
+def test_gamma_star_dispatches_on_noise_mode():
+    consts = ensemble_constants(experiment_ensemble())
+    assert gamma_star("bounded", consts, None, 1.0, 0.5) == gamma_star_bounded(
+        consts.c, consts.lambda_bar, 0.5, 1.0
+    )
+    assert gamma_star("gaussian", consts, 5, 1.0, 0.5) == gamma_star_stochastic(
+        5, consts.capital_c, consts.m, 1.0, consts.lambda_bar
+    )
+
+
+def test_gamma_star_rejects_unknown_noise_mode():
+    consts = ensemble_constants(experiment_ensemble())
+    with pytest.raises(ValueError, match="noise_mode must be 'bounded' or 'gaussian'"):
+        gamma_star("uniform", consts, 5, 1.0, 1.0)
+    with pytest.raises(ValueError, match="noise_mode must be 'bounded' or 'gaussian'"):
+        bound_report(experiment_ensemble(), 5, 0.25, 1.0, 1.0, noise_mode="uniform")
 
 
 # ------------------------------------------------------------ contraction_norm

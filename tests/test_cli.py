@@ -160,6 +160,41 @@ def test_simulate_without_observability_window_exits_3_and_writes_nothing(tmp_pa
     assert not any(path.exists() for path in outputs)
 
 
+def rank1_uniform_scenario():
+    """One rank-1 member for two states: no window of any sequence observes the state."""
+    return minimal_scenario(library_size=1, sequence_policy="uniform")
+
+
+def test_bounds_without_observability_window_exits_3_and_writes_nothing(tmp_path, capsys):
+    cfg = write_json(tmp_path / "sc.json", rank1_uniform_scenario())
+    out = tmp_path / "bounds.csv"
+    argv = ["bounds", cfg, str(out), "--gamma", "1.0", "--report", str(tmp_path / "r.json")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "joint full rank" in err and "'window' sequence policy" in err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["sc.json"]
+
+
+@pytest.mark.parametrize("mode, code", [("gaussian", 3), ("bounded", 0)])
+def test_gamma_star_needs_a_window_only_in_gaussian_mode(tmp_path, capsys, mode, code):
+    # The bounded-noise gamma* does not depend on tau, so no window is sought.
+    cfg = write_json(tmp_path / "sc.json", rank1_uniform_scenario())
+    assert main(["gamma-star", cfg, "--mode", mode]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert "joint full rank" in captured.err and captured.out == ""
+    else:
+        assert float(captured.out) > 0
+
+
+def test_bounds_ensemble_never_jointly_full_rank_exits_3_and_writes_nothing(tmp_path, capsys):
+    # Both members observe only the first state, so the round-robin window never closes.
+    ens = write_json(tmp_path / "ens.json", {"n_states": 2, "members": [{"A": [[1, 0]]}, {"A": [[2, 0]]}]})
+    assert main(["bounds", ens, str(tmp_path / "bounds.csv"), "--gamma", "1.0"]) == 3
+    assert "pass --tau" in capsys.readouterr().err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["ens.json"]
+
+
 def test_dump_measurements_builds_no_batch_and_keeps_the_batch_format(tmp_path, monkeypatch):
     # The library members were validated once, so run 0's batches are written
     # without building (and re-validating) a MeasurementBatch per step.
@@ -261,6 +296,19 @@ def test_bounds_invalid_input_exits_2_and_writes_nothing(tmp_path, capsys, bad, 
     assert not (tmp_path / "bounds.csv.report.json").exists()
 
 
+def test_bounds_reports_each_mode_at_its_gamma_star_or_the_lowest_grid_gamma(tmp_path):
+    # Without noise the bounded-noise gamma* is 0, which cannot be evaluated,
+    # so that report falls back to the grid's lowest gamma.
+    ens = write_json(tmp_path / "ens.json", {"n_states": 2, "members": [{"A": [[1, 0]]}, {"A": [[0, 2]]}]})
+    out = tmp_path / "bounds.csv"
+    with pytest.warns(UserWarning, match="delta_n is 0"):
+        assert main(["bounds", ens, str(out), "--gamma-grid", "0.1", "1", "3", "--delta-n", "0"]) == 0
+    report = json.loads((tmp_path / "bounds.csv.report.json").read_text())
+    assert report["bounded"]["gamma_star"] == 0.0
+    assert report["bounded"]["gamma"] == 0.1
+    assert report["gaussian"]["gamma"] == report["gaussian"]["gamma_star"] > 0
+
+
 @pytest.mark.parametrize("n_states", [3.9, "3"])
 def test_bounds_non_integer_n_states_exits_2(tmp_path, capsys, n_states):
     ens = write_json(tmp_path / "ens.json", {"n_states": n_states, "members": [{"A": np.eye(3).tolist()}]})
@@ -313,6 +361,25 @@ def test_replay_empty_file(tmp_path):
     out = tmp_path / "est.csv"
     assert main(["replay", str(src), str(out), "--gamma", "1.0"]) == 0
     assert out.read_text() == "t\n"
+
+
+@pytest.mark.parametrize("lines", [[], [batch_line(1, [1.0], [[1.0, 0.0]])]], ids=["empty", "one_batch"])
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (["--gamma", "-1"], "gamma must be positive and finite"),
+        (["--gamma", "nan", "--x0", "nan,inf"], "gamma must be positive and finite"),
+        (["--gamma", "1.0", "--x0", "0,inf"], "x0 contains non-finite entries"),
+    ],
+    ids=["negative_gamma", "nan_gamma_and_x0", "infinite_x0"],
+)
+def test_replay_invalid_options_exit_2_and_write_nothing(tmp_path, capsys, lines, options, message):
+    src = tmp_path / "meas.jsonl"
+    src.write_text("".join(line + "\n" for line in lines))
+    out = tmp_path / "est.csv"
+    assert main(["replay", str(src), str(out), *options]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_replay_scalar_batch(tmp_path):
