@@ -37,6 +37,7 @@ from .estimator import (
     MeasurementBatch,
     _as_float_array,
     _check_gamma,
+    _check_int,
     _gain,
     _read_only_copy,
     _spectral_rank,
@@ -96,9 +97,7 @@ class SystemEnsemble:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if int(self.n_states) != self.n_states or self.n_states < 1:
-            raise ValueError(f"n_states must be an integer >= 1, got {self.n_states}")
-        object.__setattr__(self, "n_states", int(self.n_states))
+        object.__setattr__(self, "n_states", _check_int(self.n_states, "n_states", 1))
         models = []
         for i, pair in enumerate(self.members):
             w = _whitened_svd(*pair)
@@ -136,18 +135,62 @@ class SystemEnsemble:
 
         The stacked kernel is the intersection of the members' kernels, and
         the rank does not depend on the row order, so the result is memoized
-        by the window's multiset of members and the SVD is taken in sorted
-        member order.
+        by the window's multiset of members and the rows are stacked in
+        sorted member order (see _full_column_rank).
         """
         key = ("rank", tuple(sorted(window)))
         good = self._memo.get(key)
         if good is None:
-            stacked = np.vstack([self.members[i][0] for i in key[1]])
-            s = np.linalg.svd(stacked, compute_uv=False)
-            n = self.n_states
-            good = bool(s.size >= n and s[n - 1] > DEFAULT_RANK_TOL * s[0])
-            self._memo[key] = good
+            good = self._memo[key] = _full_column_rank(np.vstack([self.members[i][0] for i in key[1]]))
         return good
+
+
+def _full_column_rank(stacked: np.ndarray) -> bool:
+    """The window-rank test: sigma_N > DEFAULT_RANK_TOL * sigma_1 in the
+    values-only SVD of the M x N stack (False when M < N).  A Gram-Cholesky
+    certificate settles most full-rank stacks first; the SVD decides the rest."""
+    m, n = stacked.shape
+    if m < n:
+        return False
+    if _gram_certifies_full_rank(stacked):
+        return True
+    s = np.linalg.svd(stacked, compute_uv=False)
+    return bool(s[n - 1] > DEFAULT_RANK_TOL * s[0])
+
+
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+_SMALLEST_SUBNORMAL = np.finfo(float).smallest_subnormal
+
+
+def _gram_certifies_full_rank(stacked: np.ndarray) -> bool:
+    """True only when the SVD verdict of _full_column_rank is provably True.
+
+    S is the stack scaled by a power of two to a largest |entry| in [0.5, 1),
+    so G = fl(S^T S) and its Cholesky cannot overflow and t = trace(G) >= 1/4.
+    The diagonal shift d = theta + g + r holds a margin theta =
+    (2 DEFAULT_RANK_TOL)^2 t, the rounding of G, ||G - S^T S||_2 <= g =
+    gamma_m t (m rows, gamma_k = k u / (1 - k u)), and r, Rump's bound on the
+    backward error of a floating-point Cholesky of fl(G - d I), underflow
+    included (S. M. Rump, BIT 46 (2006) 433-452).  So a finite factor proves
+    sigma_N(S)^2 > theta, i.e. sigma_N > 2 DEFAULT_RANK_TOL ||S||_F >=
+    2 DEFAULT_RANK_TOL sigma_1; second-order rounding terms and subnormals
+    take a negligible part of the factor 2.  The computed singular values lie
+    within a modest multiple of u sigma_1 of the exact ones, far inside that
+    factor, so the SVD would return True as well.  False proves nothing.
+    """
+    m, n = stacked.shape
+    u = _UNIT_ROUNDOFF
+    S = np.ldexp(stacked, -np.frexp(np.abs(stacked).max())[1])
+    G = S.T @ S
+    t = float(G.trace())
+    gamma_m, gamma_n1 = m * u / (1 - m * u), (n + 1) * u / (1 - (n + 1) * u)
+    # Rump's underflow term takes max_i G_ii, which is at most m here.
+    rump = gamma_n1 / (1 - 2 * gamma_n1) * t + 4 * _SMALLEST_SUBNORMAL * (n + 1) * (2 * (n + 1) + m)
+    G.flat[:: n + 1] -= (2 * DEFAULT_RANK_TOL) ** 2 * t + gamma_m * t + rump
+    try:
+        return bool(np.isfinite(np.linalg.cholesky(G)).all())
+    except np.linalg.LinAlgError:
+        return False
 
 
 class EnsembleConstants(NamedTuple):
@@ -178,11 +221,9 @@ class ErrorMoments:
             raise ValueError("sigma is not symmetric")
         if sigma.size and np.linalg.eigvalsh(sigma).min() < -1e-10 * scale:
             raise ValueError("sigma is not positive semidefinite")
-        if int(self.t) != self.t or self.t < 0:
-            raise ValueError(f"t must be an integer >= 0, got {self.t}")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", 0.5 * (sigma + sigma.T))
-        object.__setattr__(self, "t", int(self.t))
+        object.__setattr__(self, "t", _check_int(self.t, "t", 0))
 
 
 def kernel_basis(A) -> np.ndarray:
@@ -290,18 +331,15 @@ def _ensemble_constants(ensemble: SystemEnsemble) -> EnsembleConstants:
 
 
 def _check_tau(tau) -> int:
-    if int(tau) != tau or tau < 1:
-        raise ValueError(f"tau must be an integer >= 1, got {tau}")
-    return int(tau)
+    return _check_int(tau, "tau", 1)
 
 
 def _check_bound_args(T: int, tau: int, psi_value: float) -> tuple[int, int, float]:
-    if int(T) != T or T < 1:
-        raise ValueError(f"T must be an integer >= 1, got {T}")
+    T = _check_int(T, "T", 1)
     psi_value = float(psi_value)
     if not (0.0 <= psi_value < 1.0):
         raise ValueError(f"psi must lie in [0, 1), got {psi_value}")
-    return int(T), _check_tau(tau), psi_value
+    return T, _check_tau(tau), psi_value
 
 
 def _per_step_array(per_step, T: int) -> np.ndarray:
@@ -362,6 +400,12 @@ def h_bounded(gamma, tau, delta_x, c, delta_n, lambda_bar) -> float:
     return float(tau * (delta_x + c * delta_n / gamma) * (1.0 + gamma / lambda_bar))
 
 
+def _check_finite(**values) -> None:
+    for name, value in values.items():
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def gamma_star_bounded(c, lambda_bar, delta_n, delta_x) -> float:
     """Minimizer sqrt(c * lambda_bar * delta_n / delta_x) of the bounded-noise bound.
 
@@ -369,6 +413,7 @@ def gamma_star_bounded(c, lambda_bar, delta_n, delta_x) -> float:
     has no finite minimizer).  With delta_n = 0 the bound decreases toward
     gamma -> 0; 0.0 is returned and a warning issued.
     """
+    _check_finite(c=c, lambda_bar=lambda_bar, delta_n=delta_n, delta_x=delta_x)
     if delta_x <= 0:
         raise ValueError("delta_x must be positive: the bound has no finite minimizer")
     if delta_n == 0:
@@ -491,6 +536,7 @@ def gamma_star_stochastic(tau, capital_c, m, delta_x, lambda_bar, search_interva
     if not (0 < lambda_bar < np.inf):
         raise ValueError(f"lambda_bar must be positive and finite, got {lambda_bar}")
     lo, hi = float(search_interval[0]), float(search_interval[1])
+    _check_finite(capital_c=capital_c, m=m, delta_x=delta_x, hi=hi)
     if not (0 < lo < hi):
         raise ValueError(f"search_interval must satisfy 0 < lo < hi, got {search_interval}")
 

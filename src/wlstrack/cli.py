@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import itertools
 import json
+import os
 import sys
 
 import numpy as np
@@ -185,6 +186,23 @@ def cmd_gamma_star(args) -> int:
     return EXIT_OK
 
 
+@contextlib.contextmanager
+def _replacing(path: str):
+    """Text file open for writing beside `path`, moved onto it when the block
+    completes and removed when it raises, so a rejected input leaves `path`
+    as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fobj = open(tmp, "x", encoding="utf-8")
+    try:
+        with fobj:
+            yield fobj
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def cmd_replay(args) -> int:
     # Check the options before any file is opened, so that rejected input writes nothing.
     _check_gamma(args.gamma)
@@ -197,9 +215,7 @@ def cmd_replay(args) -> int:
         x0 = _as_float_array(x0, "x0", 1)
     state: EstimatorState | None = None
     config = None
-    with open(args.measurements, "r", encoding="utf-8") as src, open(
-        args.out, "w", encoding="utf-8"
-    ) as dst:
+    with open(args.measurements, "r", encoding="utf-8") as src, _replacing(args.out) as dst:
         for batch in io.iter_batches_jsonl(src):
             if state is None:
                 n = batch.n_states

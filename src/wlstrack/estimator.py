@@ -68,6 +68,19 @@ def _check_gamma(gamma: float) -> float:
     return float(gamma)
 
 
+def _check_int(value, name: str, minimum: int | None = None) -> int:
+    """value as an int; ValueError unless it is an integer of at least
+    `minimum`.  A bool is not one, though Python counts True as 1."""
+    try:
+        whole = not isinstance(value, (bool, np.bool_)) and int(value) == value
+    except (TypeError, ValueError, OverflowError):  # e.g. None, nan, inf
+        whole = False
+    if not whole or (minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value}")
+    return int(value)
+
+
 def _read_only_copy(M: np.ndarray) -> np.ndarray:
     M = np.array(M)
     M.flags.writeable = False
@@ -180,9 +193,7 @@ class MeasurementBatch:
     _model: _Whitened = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if int(self.t) != self.t or self.t < 1:
-            raise ValueError(f"t must be an integer >= 1, got {self.t}")
-        object.__setattr__(self, "t", int(self.t))
+        object.__setattr__(self, "t", _check_int(self.t, "t", 1))
         model = _whitened_svd(self.A, self.Q)
         y = _as_float_array(self.y, "y", 1)
         m = model.A.shape[0]
@@ -221,9 +232,7 @@ class EstimatorConfig:
 
     def __post_init__(self):
         _check_gamma(self.gamma)
-        if int(self.n_states) != self.n_states or self.n_states < 1:
-            raise ValueError(f"n_states must be an integer >= 1, got {self.n_states}")
-        object.__setattr__(self, "n_states", int(self.n_states))
+        object.__setattr__(self, "n_states", _check_int(self.n_states, "n_states", 1))
 
 
 @dataclass(frozen=True)
@@ -235,10 +244,8 @@ class EstimatorState:
 
     def __post_init__(self):
         x = _as_float_array(self.x_hat, "x_hat", 1)
-        if int(self.t) != self.t or self.t < 0:
-            raise ValueError(f"t must be an integer >= 0, got {self.t}")
         object.__setattr__(self, "x_hat", x)
-        object.__setattr__(self, "t", int(self.t))
+        object.__setattr__(self, "t", _check_int(self.t, "t", 0))
 
 
 def initial_state(n_states: int, x0=None) -> EstimatorState:

@@ -33,7 +33,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .analysis import SystemEnsemble
-from .estimator import _advance, _check_gamma, initial_state
+from .estimator import _advance, _check_gamma, _check_int, initial_state
 from .estimator import update  # noqa: F401  (simulation.update, a span slot in perfbench/spans.py)
 
 __all__ = [
@@ -141,25 +141,18 @@ class ScenarioConfig:
 
     def __post_init__(self):
         for name in ("n_states", "n_meas", "horizon", "library_size", "n_runs"):
-            value = getattr(self, name)
-            if int(value) != value or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _check_int(getattr(self, name), name, 1))
         _check_nonnegative(self.delta_x, "delta_x")
         if not isinstance(self.noise, NoiseModel):
             raise ValueError("noise must be a NoiseModel")
         _check_gamma(self.gamma)
-        if int(self.seed) != self.seed:
-            raise ValueError(f"seed must be an integer, got {self.seed}")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _check_int(self.seed, "seed"))
         if self.sequence_policy not in ("window", "uniform"):
             raise ValueError(
                 f"sequence_policy must be 'window' or 'uniform', got {self.sequence_policy!r}"
             )
         if self.window is not None:
-            if int(self.window) != self.window or self.window < 1:
-                raise ValueError(f"window must be an integer >= 1, got {self.window}")
-            object.__setattr__(self, "window", int(self.window))
+            object.__setattr__(self, "window", _check_int(self.window, "window", 1))
         for name in ("x0", "x_hat0"):
             value = getattr(self, name)
             if value is not None:
@@ -485,11 +478,6 @@ def _run_results(block: _Block, estimates, errors, keep_details) -> Iterator[Run
         )
 
 
-def _check_jobs(n_jobs: int) -> None:
-    if int(n_jobs) != n_jobs or n_jobs < 1:
-        raise ValueError(f"n_jobs must be an integer >= 1, got {n_jobs}")
-
-
 def simulate_run(
     scenario: ScenarioConfig,
     run_seed: int,
@@ -528,7 +516,7 @@ def iter_runs(
     validated but no longer changes the execution: the results never
     depended on it.
     """
-    _check_jobs(n_jobs)
+    _check_int(n_jobs, "n_jobs", 1)
     if ensemble is None:
         ensemble = build_ensemble(scenario)
     seeds = [seed_for_run(scenario, i) for i in range(scenario.n_runs)]
@@ -570,7 +558,7 @@ def sweep(
     arithmetic is the same as alone, so summary i equals the one-gamma
     monte_carlo bit for bit.
     """
-    _check_jobs(n_jobs)
+    _check_int(n_jobs, "n_jobs", 1)
     gammas = [_check_gamma(g) for g in gammas]
     if track_covariance and scenario.n_runs < 2:
         raise ValueError("track_covariance requires n_runs >= 2")

@@ -192,14 +192,95 @@ def test_ensemble_members_are_read_only_copies():
 
 
 def test_window_rank_is_memoized_by_member_multiset(monkeypatch):
+    # One rank evaluation per member multiset, whether the certificate or
+    # the SVD settles it.
     ens = experiment_ensemble()
-    calls = count_calls(monkeypatch, np.linalg, "svd")
+    calls = count_calls(monkeypatch, analysis, "_full_column_rank")
     assert ens.window_full_rank([4, 0, 2, 9, 7])
     assert ens.window_full_rank((0, 2, 4, 7, 9))
     assert ens.window_full_rank([9, 7, 4, 2, 0])
     assert not ens.window_full_rank([1, 2])
     assert not ens.window_full_rank([2, 1])
     assert len(calls) == 2
+
+
+def svd_verdict(stacked, n):
+    """The rank test's definition, by plain SVD of the stack."""
+    s = np.linalg.svd(stacked, compute_uv=False)
+    return bool(s.size >= n and s[n - 1] > 1e-10 * s[0])
+
+
+def stack_with_ratio(rng, m, n, ratio):
+    """m x n stack with singular values geometrically from 1 down to ratio."""
+    U = np.linalg.qr(rng.standard_normal((m, n)))[0]
+    V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return (U * np.geomspace(1.0, ratio, n)) @ V.T
+
+
+NEAR_THRESHOLD_RATIOS = (1e-11, 1e-10 * (1 - 1e-3), 1e-10 * (1 + 1e-3), 1e-9, 1e-6, 1e-4)
+DEFICIENT_KINDS = ("few_rows", "duplicate", "rank_one")
+
+
+def rank_test_case(kind, seed, n):
+    """Member blocks and the window over them for one kind of stack; a float
+    kind is the ratio sigma_N / sigma_1 of a stack of n + 3 rows."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        blocks = [rng.standard_normal((int(rng.integers(1, 4)), n)) for _ in range(n)]
+        return blocks, list(range(n))
+    if kind == "few_rows":
+        return [rng.standard_normal((n - 1, n))], [0]
+    if kind == "duplicate":
+        return [rng.standard_normal((n - 1, n))], [0, 0]
+    if kind == "rank_one":
+        blocks = [np.outer(rng.standard_normal(2), rng.standard_normal(n)) for _ in range(n - 1)]
+        return blocks, list(range(n - 1))
+    return np.array_split(stack_with_ratio(rng, n + 3, n, kind), 3), [0, 1, 2]
+
+
+@given(
+    kind=st.sampled_from(("random", *DEFICIENT_KINDS, *NEAR_THRESHOLD_RATIOS)),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 12),
+    k=st.integers(-600, 600),
+)
+def test_window_rank_equals_the_svd_verdict_and_certificates_are_sound(kind, seed, n, k):
+    # Scales of 2^k reach about 1e+-180, where S^T S of the unscaled stack
+    # would overflow or underflow (RuntimeWarning is an error in this suite).
+    blocks, window = rank_test_case(kind, seed, n)
+    blocks = [np.ldexp(block, k) for block in blocks]
+    ens = SystemEnsemble(tuple((block, None) for block in blocks), n)
+    stacked = np.vstack([ens.members[i][0] for i in sorted(window)])
+    expected = svd_verdict(stacked, n)
+    assert ens.window_full_rank(window) == expected
+    if analysis._gram_certifies_full_rank(stacked):
+        assert expected
+    if kind in DEFICIENT_KINDS:
+        assert not expected
+
+
+def test_certificate_settles_clear_margins_and_declines_the_threshold():
+    rng = np.random.default_rng(5)
+    for k in (-600, 0, 600):
+        for ratio, certified in ((1e-4, True), (1e-6, True), (1e-10 * (1 + 1e-3), False), (1e-11, False)):
+            stacked = np.ldexp(stack_with_ratio(rng, 12, 9, ratio), k)
+            assert analysis._gram_certifies_full_rank(stacked) == certified
+
+
+def test_short_stacks_are_rejected_without_factoring(monkeypatch):
+    ens = experiment_ensemble()
+    svd = count_calls(monkeypatch, np.linalg, "svd")
+    cholesky = count_calls(monkeypatch, np.linalg, "cholesky")
+    assert not ens.window_full_rank([0, 1, 2, 3])  # 12 rows, 15 states
+    assert (svd, cholesky) == ([], [])
+
+
+def test_round_robin_window_needs_no_svd(monkeypatch):
+    # 20 members of 6 x 60: every window of 10 members has exactly 60 rows.
+    ens = generate_library(60, 6, 20, 20261018)
+    calls = count_calls(monkeypatch, np.linalg, "svd")
+    assert observability_window(list(range(20)) * 3, ens) == 10
+    assert calls == []
 
 
 # -------------------------------------------------------------- finite bounds
@@ -274,6 +355,20 @@ def test_gamma_star_bounded_zero_noise_warns():
 def test_gamma_star_bounded_zero_variation_raises():
     with pytest.raises(ValueError):
         gamma_star_bounded(1.0, 1.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: gamma_star_stochastic(3, np.nan, 1, 1, 1), "capital_c"),
+        (lambda: gamma_star_bounded(np.nan, 1, 1, 1), "c"),
+        (lambda: gamma_star_bounded(1, 1, np.inf, 1), "delta_n"),
+    ],
+    ids=["stochastic_nan_capital_c", "bounded_nan_c", "bounded_infinite_delta_n"],
+)
+def test_gamma_star_rejects_non_finite_constants(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        call()
 
 
 # ------------------------------------------------------------ error moments

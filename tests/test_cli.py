@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import wlstrack
 from wlstrack.cli import main
 
 from helpers import count_calls, rel_err
@@ -221,9 +223,12 @@ def test_dump_measurements_builds_no_batch_and_keeps_the_batch_format(tmp_path, 
 
 
 def test_cli_import_does_not_load_scipy():
-    code = "import sys, wlstrack.cli; print('scipy' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
+    # scipy is the [bench] extra only; importing it would cost every CLI call.
+    code = "import sys, wlstrack.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    src = os.path.dirname(os.path.dirname(wlstrack.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert result.stdout.strip() == "[]"
 
 
 # --------------------------------------------------------------------- sweep
@@ -431,6 +436,28 @@ def test_replay_malformed_line_exits_2(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "second_line, options, message",
+    [
+        ("BAD", [], "line 2"),
+        (batch_line(1, [1.0], [[1.0, 0.0]]), [], "t regression"),
+        (batch_line(2, [1.0], [[1.0, 0.0]]), ["--x0", "1,2,3"], "--x0 has length 3"),
+    ],
+    ids=["malformed_line_2", "t_regression", "x0_length"],
+)
+@pytest.mark.parametrize("existing", [None, "t\nkept\n"], ids=["new_out", "existing_out"])
+def test_replay_rejection_leaves_out_as_it_was(tmp_path, capsys, second_line, options, message, existing):
+    src = tmp_path / "meas.jsonl"
+    src.write_text(batch_line(1, [1.0], [[1.0, 0.0]]) + "\n" + second_line + "\n")
+    out = tmp_path / "est.csv"
+    if existing is not None:
+        out.write_text(existing)
+    assert main(["replay", str(src), str(out), "--gamma", "1.0", *options]) == 2
+    assert message in capsys.readouterr().err
+    assert (out.read_text() if out.exists() else None) == existing
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["meas.jsonl"] + (["est.csv"] if existing else []))
+
+
 def test_replay_x0_override(tmp_path):
     src = tmp_path / "meas.jsonl"
     src.write_text(batch_line(1, [0.0], [[0.0, 0.0]]) + "\n")
@@ -476,6 +503,41 @@ def test_replay_with_gamma_far_below_norm_squared(tmp_path, gamma):
     # With gamma this small, each estimate fits its own batch's data.
     for A, row in zip(matrices, rows):
         assert rel_err(A @ row[1:], A @ x_true) < 1e-8
+
+
+# ---------------------------------------------------------- integer fields
+
+@pytest.mark.parametrize(
+    "command, field, value",
+    [
+        ("replay", "t", True),
+        ("bounds", "n_states", True),
+        *[
+            ("simulate", name, True)
+            for name in ("n_states", "n_meas", "horizon", "library_size", "n_runs", "seed", "window")
+        ],
+        ("simulate", "horizon", float("inf")),
+        ("replay", "t", float("nan")),
+    ],
+)
+def test_non_integer_json_value_where_an_integer_is_read_exits_2_and_writes_nothing(
+    tmp_path, capsys, command, field, value
+):
+    # JSON true would otherwise be taken as the integer 1, and Infinity
+    # raised OverflowError past the exit-code handling.
+    out = tmp_path / "out.csv"
+    if command == "replay":
+        src = tmp_path / "meas.jsonl"
+        src.write_text(json.dumps({"t": value, "y": [1.0], "A": [[1.0]]}) + "\n")
+        argv = ["replay", str(src), str(out), "--gamma", "1.0"]
+    elif command == "bounds":
+        ens = write_json(tmp_path / "ens.json", {"n_states": value, "members": [{"A": [[1.0]]}]})
+        argv = ["bounds", ens, str(out), "--gamma", "1.0", "--tau", "1"]
+    else:
+        argv = ["simulate", write_json(tmp_path / "sc.json", minimal_scenario(**{field: value})), str(out)]
+    assert main(argv) == 2
+    assert f"{field} must be an integer" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -------------------------------------------------------------------- verify
