@@ -25,6 +25,7 @@ the time-varying sequence is drawn from.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple, Sequence
@@ -94,6 +95,8 @@ class SystemEnsemble:
     members: tuple
     n_states: int
     _models: tuple = field(init=False, repr=False, compare=False)
+    # Window ranks are keyed by member-set bitmask (an int), or by
+    # ("rank", sorted members) for a window that repeats a member.
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -136,13 +139,35 @@ class SystemEnsemble:
         The stacked kernel is the intersection of the members' kernels, and
         the rank does not depend on the row order, so the result is memoized
         by the window's multiset of members and the rows are stacked in
-        sorted member order (see _full_column_rank).
+        sorted member order (see _full_column_rank).  A window without
+        repeats is keyed by its member bitmask, as in generate_sequence,
+        and only a window with repeats by its sorted member tuple.
         """
-        key = ("rank", tuple(sorted(window)))
+        mask = 0
+        for i in window:
+            i = int(i)
+            if not 0 <= i < len(self.members):
+                raise IndexError(f"member index {i} out of range for ensemble of {len(self.members)}")
+            mask |= 1 << i
+        if mask.bit_count() == len(window):
+            return self._mask_full_rank(mask)
+        key = ("rank", tuple(sorted(int(i) for i in window)))
         good = self._memo.get(key)
         if good is None:
-            good = self._memo[key] = _full_column_rank(np.vstack([self.members[i][0] for i in key[1]]))
+            good = self._memo[key] = self._stack_full_rank(key[1])
         return good
+
+    def _mask_full_rank(self, mask: int) -> bool:
+        """window_full_rank of the members whose bits are set in mask, one row block each."""
+        good = self._memo.get(mask)
+        if good is None:
+            good = self._memo[mask] = self._stack_full_rank(
+                [i for i in range(mask.bit_length()) if mask >> i & 1]
+            )
+        return good
+
+    def _stack_full_rank(self, ordered: Sequence[int]) -> bool:
+        return _full_column_rank(np.vstack([self.members[i][0] for i in ordered]))
 
 
 def _full_column_rank(stacked: np.ndarray) -> bool:
@@ -406,12 +431,21 @@ def _check_finite(**values) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+_SMALLEST_NORMAL = np.finfo(float).tiny
+
+
 def gamma_star_bounded(c, lambda_bar, delta_n, delta_x) -> float:
     """Minimizer sqrt(c * lambda_bar * delta_n / delta_x) of the bounded-noise bound.
 
     delta_x must be positive (otherwise the bound is monotone in gamma and
     has no finite minimizer).  With delta_n = 0 the bound decreases toward
     gamma -> 0; 0.0 is returned and a warning issued.
+
+    When the product under the root overflows or underflows, it is formed
+    from the factors' mantissas and the sum of their binary exponents
+    instead: scaling by a power of two is exact, so this is the root of the
+    same rounded product, and inf only when the minimizer itself is not
+    representable.
     """
     _check_finite(c=c, lambda_bar=lambda_bar, delta_n=delta_n, delta_x=delta_x)
     if delta_x <= 0:
@@ -419,7 +453,13 @@ def gamma_star_bounded(c, lambda_bar, delta_n, delta_x) -> float:
     if delta_n == 0:
         warnings.warn("delta_n is 0: bound is minimized as gamma -> 0, returning 0.0")
         return 0.0
-    return float(np.sqrt(c * lambda_bar * delta_n / delta_x))
+    product = c * lambda_bar * delta_n / delta_x
+    if _SMALLEST_NORMAL <= abs(product) < np.inf:
+        return float(np.sqrt(product))
+    (mc, ec), (ml, el), (mn, en), (mx, ex) = map(math.frexp, (c, lambda_bar, delta_n, delta_x))
+    half, odd = divmod(ec + el + en - ex, 2)
+    with np.errstate(over="ignore", under="ignore"):
+        return float(np.ldexp(np.sqrt(mc * ml * mn / mx * 2**odd), half))
 
 
 def _covariance_step(sigma: np.ndarray, batch: MeasurementBatch, gamma: float):

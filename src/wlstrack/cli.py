@@ -2,8 +2,9 @@
 
 Subcommands: simulate, sweep, bounds, gamma-star, replay, verify.
 Exit codes: 0 success, 2 configuration/validation error, 3 numerical failure
-(non-SPD weighting matrix, rank deficiency), 4 I/O error.  All output is
-deterministic given the inputs; seeds live in the scenario files.
+(non-SPD weighting matrix, rank deficiency, floating-point overflow), 4 I/O
+error.  All output is deterministic given the inputs; seeds live in the
+scenario files.
 """
 
 from __future__ import annotations
@@ -18,7 +19,15 @@ import sys
 import numpy as np
 
 from . import analysis, io, simulation
-from .estimator import EstimatorConfig, EstimatorState, _as_float_array, _check_gamma, initial_state, update
+from .estimator import (
+    EstimatorConfig,
+    EstimatorState,
+    _as_float_array,
+    _check_gamma,
+    _check_int,
+    initial_state,
+    update,
+)
 from .verification import run_verification
 
 EXIT_OK = 0
@@ -86,13 +95,14 @@ def _dump_run0(args, scenario, ensemble, run0) -> None:
 
 def cmd_simulate(args) -> int:
     scenario = _load_scenario(args.config)
+    _check_int(args.jobs, "n_jobs", 1)
     ensemble = simulation.build_ensemble(scenario)
     # One pass feeds every output; tau comes from run 0 before any file is opened.
+    # Only run 0's details are written, so only run 0 keeps them.
+    seeds = [simulation.seed_for_run(scenario, i) for i in range(scenario.n_runs)]
     keep_details = bool(args.dump_measurements or args.dump_estimates)
-    runs = simulation.iter_runs(
-        scenario, n_jobs=args.jobs, keep_details=keep_details, ensemble=ensemble
-    )
-    run0 = next(runs)
+    run0 = simulation.simulate_run(scenario, seeds[0], ensemble, keep_details=keep_details)
+    runs = simulation._runs(scenario, ensemble, seeds[1:])
     tau = _tau(run0.member_indices, ensemble)
     consts = analysis.ensemble_constants(ensemble)
     psi_value = analysis.psi_from_lambda_bar(scenario.gamma, consts.lambda_bar)
@@ -317,6 +327,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except np.linalg.LinAlgError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except OverflowError as exc:
+        print(f"numerical error: floating-point overflow ({exc.args[-1]})", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -57,7 +57,7 @@ def _as_float_array(value, name: str, ndim: int) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
     if arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -116,7 +116,7 @@ def _whitened_svd(A, Q=None, complete: bool = False) -> _Whitened:
         if Q.shape != (m, m):
             raise ValueError(f"Q has shape {Q.shape}, expected {(m, m)}")
         scale = max(float(np.abs(Q).max(initial=0.0)), 1.0)
-        if not np.allclose(Q, Q.T, rtol=0.0, atol=1e-10 * scale):
+        if (np.abs(Q - Q.T) > 1e-10 * scale).any():
             raise ValueError("Q is not symmetric")
     try:
         C = np.linalg.cholesky(Q)

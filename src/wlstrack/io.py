@@ -109,8 +109,10 @@ def write_estimates_header(fobj: TextIO, n_states: int) -> None:
 
 
 def write_estimates_row(fobj: TextIO, t: int, x_hat: np.ndarray) -> None:
-    fobj.write(",".join([str(int(t))] + [format_float(v) for v in x_hat]))
-    fobj.write("\n")
+    """One row "t,x_1,...,x_N": one %-format over the row, which writes each
+    float as format_float does."""
+    values = np.asarray(x_hat, dtype=float).tolist()
+    fobj.write(("%d" + ",%.17g" * len(values) + "\n") % (t, *values))
 
 
 def write_mc_summary_csv(summary: McSummary, fobj: TextIO) -> None:

@@ -15,12 +15,17 @@ earlier runs identical.
 
 The 'window' member sequences take their candidates from bulk
 rng.integers draws; a bulk draw gives the same values as the same number of
-scalar draws, so the seed contract above is unchanged by it.
+scalar draws, so the seed contract above is unchanged by it.  The sampler
+keeps the last window's members as an integer bitmask, which is also the
+key of the ensemble's window-rank memo.
 
 Monte Carlo runs are stepped in lockstep: a block of runs is drawn once,
 then advanced one step at a time as one stack over the runs and every gamma
 of a sweep, gathering each run's member matrix and precomputed member gain
 at each gamma, through the same step kernel that estimator.update uses.
+Each step's error norms are taken as the step is made, so a block keeps
+only its current estimates, and whole estimate trajectories only for a
+caller that asks for them (keep_details, track_covariance).
 """
 
 from __future__ import annotations
@@ -256,6 +261,11 @@ def generate_sequence(
     step.  Window ranks are memoized on the ensemble, so sequences drawn
     from one ensemble share them.
 
+    The last k - 1 members are kept as an integer bitmask, bit i for member
+    i, so a repeat is one bit test.  A window never repeats a member, so its
+    bitmask names its member set, and the rank verdict is looked up by it in
+    the ensemble's window-rank memo (see SystemEnsemble.window_full_rank).
+
     The candidates are drawn in chunks of _CANDIDATE_CHUNK, by one
     rng.integers call each.  A bulk draw gives the same values as that many
     scalar rng.integers(0, L) calls, so the sequence of a seed does not
@@ -282,23 +292,32 @@ def generate_sequence(
         raise ValueError(f"library of {size} members cannot fill a window of {k} without repeats")
 
     candidates = _candidate_stream(rng, size)
+    ranks = ensemble._memo
     indices: list[int] = []
+    recent = 0  # bitmask of the last k - 1 members
     max_attempts = 1000 * size
     for pos in range(horizon):
-        forbidden = indices[-(k - 1):] if k > 1 else []
         complete = pos >= k - 1
         for cand in islice(candidates, max_attempts):
-            if cand in forbidden:
+            bit = 1 << cand
+            if recent & bit:
                 continue
-            if complete and not ensemble.window_full_rank(forbidden + [cand]):
-                continue
-            indices.append(cand)
+            if complete:
+                good = ranks.get(recent | bit)
+                if good is None:
+                    good = ensemble._mask_full_rank(recent | bit)
+                if not good:
+                    continue
             break
         else:
             raise RuntimeError(
                 f"could not extend the window-constrained sequence at step {pos + 1}; "
                 "the library may not contain enough jointly observing windows"
             )
+        indices.append(cand)
+        recent |= bit
+        if complete:
+            recent ^= 1 << indices[pos - k + 1]
     return np.asarray(indices)
 
 
@@ -360,14 +379,17 @@ def run_sequence(scenario: ScenarioConfig, ensemble: SystemEnsemble, run_seed: i
 
 # Runs stepped together in one lockstep block.  It sets the engine's memory
 # and its per-run Python overhead, never the results: each run's arithmetic
-# is the same in a block of any size.  The memory is one block's draws (and
-# the previous block's while the next is drawn) and one estimate buffer of
-# G x BLOCK_RUNS x (T + 1) x N doubles, which grows with the number G of
-# gammas stepped together: 0.96 MB for a 5-gamma sweep of the 15-state,
-# 200-step acceptance scenario.  At 8, that sweep over 40 runs peaks about
-# 2 MB (5%) above stepping one run at a time, in a process that holds only
-# wlstrack and numpy.
-BLOCK_RUNS = 8
+# is the same in a block of any size.  A block takes T kernel calls, so the
+# 40 runs of a sweep take 400 calls at 32 instead of 1000 at 8.  A block
+# holds its true states, R x (T + 1) x N doubles (0.77 MB at 32 for the
+# 15-state, 200-step acceptance scenario), its measurements and the current
+# G x R x N estimates; only a caller that keeps whole estimate trajectories
+# (keep_details, track_covariance) adds G x R x (T + 1) x N doubles.  On the
+# 5-gamma, 40-run sweep of that scenario, in one process that holds only
+# wlstrack and numpy with one BLAS thread on a shared 2-core Xeon VM, the
+# fastest of 25 interleaved calls took 40.7, 34.1 and 32.9 ms and the
+# process peaked at 38.4, 38.7 and 39.3 MB at 8, 16 and 32.
+BLOCK_RUNS = 32
 
 
 @dataclass(frozen=True)
@@ -378,75 +400,74 @@ class _Block:
     sequences: np.ndarray  # R x T member indices
     states: np.ndarray  # R x (T + 1) x N true states x(0..T)
     measurements: np.ndarray  # R x T x M, y(t) = A(t) x(t) + n(t)
-    deltas: np.ndarray  # R x T x N state increments
-    noises: np.ndarray  # R x T x M noise vectors
+    deltas: np.ndarray | None  # R x T x N state increments, when details are kept
+    noises: np.ndarray | None  # R x T x M noise vectors, when details are kept
 
 
-def _draw_block(sc: ScenarioConfig, ensemble, matrices, seeds, member_sequence) -> _Block:
+def _draw_block(sc: ScenarioConfig, ensemble, matrices, seeds, member_sequence, keep_details) -> _Block:
     """Each run's member sequence, trajectory and noise from its own seed, and
-    the measurements they give.  Non-finite measurements raise ValueError."""
-    T = sc.horizon
+    the measurements they give.  Non-finite measurements raise ValueError.
+    The increments and noises are kept only with keep_details."""
+    T, R = sc.horizon, len(seeds)
     if member_sequence is None:
         sequences = np.stack([run_sequence(sc, ensemble, s) for s in seeds])
     else:
-        sequences = np.broadcast_to(member_sequence, (len(seeds), T))
-    trajectories = [
-        generate_trajectory(sc.n_states, T, sc.delta_x, derive_seed(s, 1), x0=sc.x0) for s in seeds
-    ]
-    states = np.stack([states for states, _ in trajectories])
+        sequences = np.broadcast_to(member_sequence, (R, T))
+    states = np.empty((R, T + 1, sc.n_states))
+    deltas = np.empty((R, T, sc.n_states)) if keep_details else None
+    for r, s in enumerate(seeds):
+        states[r], increments = generate_trajectory(sc.n_states, T, sc.delta_x, derive_seed(s, 1), x0=sc.x0)
+        if keep_details:
+            deltas[r] = increments
     noises = np.stack([generate_noise(sc.noise, sc.n_meas, T, derive_seed(s, 2)) for s in seeds])
     measurements = np.empty_like(noises)
     for r, sequence in enumerate(sequences):
         measurements[r] = (matrices[sequence] @ states[r, 1:, :, None])[..., 0]
     measurements += noises
-    if not np.all(np.isfinite(measurements)):
+    if not np.isfinite(measurements).all():
         raise ValueError("simulated measurements contain non-finite entries")
-    return _Block(
-        seeds=list(seeds),
-        sequences=sequences,
-        states=states,
-        measurements=measurements,
-        deltas=np.stack([deltas for _, deltas in trajectories]),
-        noises=noises,
-    )
+    return _Block(list(seeds), sequences, states, measurements, deltas, noises if keep_details else None)
 
 
-def _step_block(block: _Block, matrices, gains, x_hat0, out):
-    """Step all runs of a block at every gamma together; return the
-    G x R x (T + 1) x N estimates, written into `out`, and the G x R x T
-    error norms ||x_hat(t) - x(t)||.
+def _step_block(block: _Block, matrices, gains, x_hat0, keep_trajectory):
+    """Step all runs of a block at every gamma together; return the G x R x N
+    final estimates x_hat(T), the G x R x T error norms ||x_hat(t) - x(t)||
+    and, with keep_trajectory, the G x R x (T + 1) x N estimates (else None).
 
     gains stacks the library's member gains at each gamma (G x L x N x M).
     Each step gathers every run's member matrix and its gain at each gamma
     and applies the estimator's own step kernel once, to the G x R stack.
-    The norms take one BLAS dot per gamma, run and step, as
-    numpy.linalg.norm does for a single vector.
+    Each step's norms take one (G, R, 1, N) @ (G, R, N, 1) matmul, one BLAS
+    dot per gamma and run, as numpy.linalg.norm does for a single vector.
     """
     R, T = block.sequences.shape
-    estimates = out[:, :R]
-    estimates[:, :, 0] = x_hat0
+    x = np.empty((gains.shape[0], R, x_hat0.shape[0]))
+    x[:] = x_hat0
+    trajectory = None
+    if keep_trajectory:
+        trajectory = np.empty(x.shape[:2] + (T + 1, x.shape[2]))
+        trajectory[:, :, 0] = x
+    squares = np.empty(x.shape[:2] + (T,))
     for t in range(T):
         members = block.sequences[:, t]
-        estimates[:, :, t + 1] = _advance(
-            estimates[:, :, t], gains[:, members], matrices[members], block.measurements[:, t]
-        )
-    errors = np.empty((gains.shape[0], R, T))
-    for layer, norms in zip(estimates, errors):
-        d = (layer - block.states)[:, 1:, :, None]
-        norms[:] = np.sqrt((d.swapaxes(2, 3) @ d)[..., 0, 0])
-    return estimates, errors
+        x = _advance(x, gains[:, members], matrices[members], block.measurements[:, t])
+        d = x - block.states[:, t + 1]
+        squares[:, :, t] = (d[..., None, :] @ d[..., None])[..., 0, 0]
+        if keep_trajectory:
+            trajectory[:, :, t + 1] = x
+    return x, np.sqrt(squares), trajectory
 
 
-def _lockstep(sc: ScenarioConfig, ensemble, gammas, seeds, member_sequence):
-    """Yield (block, estimates, errors) for every block of runs.
+def _lockstep(sc: ScenarioConfig, ensemble, gammas, seeds, member_sequence, keep_details=False, track_covariance=False):
+    """Yield (block, final, errors, trajectory) for every block of runs.
 
     The runs with the given seeds go through in blocks of BLOCK_RUNS.  Each
     block is drawn once and stepped at all gammas at once with the library's
     member gains, so a block takes T kernel calls whatever the number of
-    gammas; estimates and errors are what _step_block returns, with the
-    gamma index first.  The estimates of every block share one buffer, so
-    a block's estimates are overwritten by the next block's: copy what you
-    keep.
+    gammas; final, errors and trajectory are what _step_block returns, with
+    the gamma index first.  The estimate trajectories are kept for
+    keep_details or track_covariance, the block's increments and noises for
+    keep_details alone.
     """
     matrices = np.stack([A for A, _ in ensemble.members])
     gains = np.stack([ensemble.member_gains(g) for g in gammas])
@@ -455,27 +476,26 @@ def _lockstep(sc: ScenarioConfig, ensemble, gammas, seeds, member_sequence):
         member_sequence = np.asarray(member_sequence, dtype=int)
         if member_sequence.shape != (sc.horizon,):
             raise ValueError(f"member_sequence has shape {member_sequence.shape}, expected ({sc.horizon},)")
-    out = np.empty((len(gammas), min(BLOCK_RUNS, len(seeds)), sc.horizon + 1, sc.n_states))
     for first in range(0, len(seeds), BLOCK_RUNS):
-        block = _draw_block(sc, ensemble, matrices, seeds[first : first + BLOCK_RUNS], member_sequence)
-        yield block, *_step_block(block, matrices, gains, x_hat0, out)
+        block = _draw_block(sc, ensemble, matrices, seeds[first : first + BLOCK_RUNS], member_sequence, keep_details)
+        yield block, *_step_block(block, matrices, gains, x_hat0, keep_details or track_covariance)
 
 
-def _run_results(block: _Block, estimates, errors, keep_details) -> Iterator[RunResult]:
-    """The block's runs at one gamma, from that gamma's R x (T + 1) x N
-    estimates and R x T error norms."""
-    for r, seed in enumerate(block.seeds):
-        yield RunResult(
-            per_step_error=errors[r],
-            final_state=block.states[r, -1].copy(),
-            final_estimate=estimates[r, -1].copy(),
-            seed_used=int(seed),
-            member_indices=block.sequences[r],
-            states=block.states[r].copy() if keep_details else None,
-            estimates=estimates[r].copy() if keep_details else None,
-            deltas=block.deltas[r].copy() if keep_details else None,
-            noises=block.noises[r].copy() if keep_details else None,
-        )
+def _runs(sc: ScenarioConfig, ensemble, seeds, member_sequence=None, keep_details=False) -> Iterator[RunResult]:
+    """The runs with the given seeds, in order, at the scenario's gamma."""
+    for block, final, errors, trajectory in _lockstep(sc, ensemble, [sc.gamma], seeds, member_sequence, keep_details):
+        for r, seed in enumerate(block.seeds):
+            yield RunResult(
+                per_step_error=errors[0, r],
+                final_state=block.states[r, -1].copy(),
+                final_estimate=final[0, r].copy(),
+                seed_used=int(seed),
+                member_indices=block.sequences[r],
+                states=block.states[r].copy() if keep_details else None,
+                estimates=trajectory[0, r].copy() if keep_details else None,
+                deltas=block.deltas[r].copy() if keep_details else None,
+                noises=block.noises[r].copy() if keep_details else None,
+            )
 
 
 def simulate_run(
@@ -496,9 +516,7 @@ def simulate_run(
     """
     if ensemble is None:
         ensemble = build_ensemble(scenario)
-    steps = _lockstep(scenario, ensemble, [scenario.gamma], [int(run_seed)], member_sequence)
-    block, estimates, errors = next(steps)
-    return next(_run_results(block, estimates[0], errors[0], keep_details))
+    return next(_runs(scenario, ensemble, [int(run_seed)], member_sequence, keep_details))
 
 
 def iter_runs(
@@ -520,8 +538,7 @@ def iter_runs(
     if ensemble is None:
         ensemble = build_ensemble(scenario)
     seeds = [seed_for_run(scenario, i) for i in range(scenario.n_runs)]
-    for block, estimates, errors in _lockstep(scenario, ensemble, [scenario.gamma], seeds, member_sequence):
-        yield from _run_results(block, estimates[0], errors[0], keep_details)
+    yield from _runs(scenario, ensemble, seeds, member_sequence, keep_details)
 
 
 def summarize(norms: Sequence[np.ndarray], xi: Sequence[np.ndarray] | None = None) -> McSummary:
@@ -565,13 +582,13 @@ def sweep(
     seeds = [seed_for_run(scenario, i) for i in range(scenario.n_runs)]
     norms = [[] for _ in gammas]
     xi = [[] for _ in gammas]
-    for block, estimates, errors in _lockstep(
-        scenario, build_ensemble(scenario), gammas, seeds, member_sequence
+    for block, _, errors, trajectory in _lockstep(
+        scenario, build_ensemble(scenario), gammas, seeds, member_sequence, track_covariance=track_covariance
     ):
         for index in range(len(gammas)):
             norms[index].extend(errors[index])
             if track_covariance:
-                xi[index].extend(estimates[index, :, 1:] - block.states[:, 1:])
+                xi[index].extend(trajectory[index, :, 1:] - block.states[:, 1:])
     return [summarize(n, x if track_covariance else None) for n, x in zip(norms, xi)]
 
 

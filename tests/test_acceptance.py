@@ -18,6 +18,7 @@ verbatim rather than weakened (see README, "Known acceptance-check failures"):
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -25,6 +26,7 @@ import time
 import numpy as np
 import pytest
 
+import wlstrack
 from wlstrack import analysis, simulation
 from wlstrack.analysis import ErrorMoments
 from wlstrack.estimator import (
@@ -419,8 +421,11 @@ def test_criterion_6_sweep_qualitative_shape(bounded_sweep):
 # --------------------------------------------------------------- criterion 7
 
 def run_cli(args):
+    # The child imports wlstrack from this checkout's src, as the suite does.
+    src = os.path.dirname(os.path.dirname(wlstrack.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
-        [sys.executable, "-m", "wlstrack.cli", *args], capture_output=True, timeout=300
+        [sys.executable, "-m", "wlstrack.cli", *args], capture_output=True, timeout=300, env=env
     )
     return proc.returncode, proc.stdout, proc.stderr
 

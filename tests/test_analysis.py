@@ -204,6 +204,20 @@ def test_window_rank_is_memoized_by_member_multiset(monkeypatch):
     assert len(calls) == 2
 
 
+def test_window_rank_keys_repeated_members_by_multiset(monkeypatch):
+    # A window with a repeat is keyed by its sorted members, apart from the
+    # bitmask of the same set without the repeat; indices must be in range.
+    ens = experiment_ensemble()
+    calls = count_calls(monkeypatch, analysis, "_full_column_rank")
+    for window in ([1, 2], [2, 1, 1], [1, 1, 2], [1, 2, 2]):
+        assert not ens.window_full_rank(window)
+    assert len(calls) == 3
+    assert calls[1][0].shape[0] == 9  # rows of members 1, 1, 2
+    for bad in ([0, 10], [-1, 3]):
+        with pytest.raises(IndexError, match="out of range"):
+            ens.window_full_rank(bad)
+
+
 def svd_verdict(stacked, n):
     """The rank test's definition, by plain SVD of the stack."""
     s = np.linalg.svd(stacked, compute_uv=False)
@@ -345,6 +359,18 @@ def test_h_bounded_grid_minimum_matches_formula():
 
 def test_gamma_star_bounded_unit():
     assert gamma_star_bounded(1.0, 1.0, 1.0, 1.0) == pytest.approx(1.0)
+
+
+def test_gamma_star_bounded_survives_overflow_and_underflow_of_the_product():
+    # c * lambda_bar overflows (or underflows) although gamma* is representable.
+    assert gamma_star_bounded(1e300, 1e300, 1, 1) == 1e300
+    assert gamma_star_bounded(1e-300, 1e-300, 1, 1) == 1e-300
+    assert gamma_star_bounded(1e200, 1e200, 1e100, 1e-100) == pytest.approx(1e300, rel=1e-15)
+    assert gamma_star_bounded(1e300, 1e300, 1e300, 1e-300) == np.inf  # gamma* = 1e600
+    # Where the product is a normal float, the root is taken of it as before.
+    rng = np.random.default_rng(5)
+    for c, lb, dn, dx in 10.0 ** rng.uniform(-70, 70, size=(200, 4)):
+        assert gamma_star_bounded(c, lb, dn, dx) == np.sqrt(c * lb * dn / dx)
 
 
 def test_gamma_star_bounded_zero_noise_warns():

@@ -231,6 +231,16 @@ def test_cli_import_does_not_load_scipy():
     assert result.stdout.strip() == "[]"
 
 
+def test_bounds_overflow_exits_3(tmp_path, capsys):
+    # A = 1e103 gives C * m = 1e206, which h_stochastic squares: Python's
+    # float ** raises OverflowError, a documented exit rather than a traceback.
+    path = write_json(tmp_path / "ens.json", {"n_states": 1, "members": [{"A": [[1e103]], "Q": [[1.0]]}]})
+    out = tmp_path / "b.csv"
+    assert main(["bounds", path, str(out), "--gamma-grid", "0.1", "1", "3", "--tau", "1"]) == 3
+    assert "floating-point overflow" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --------------------------------------------------------------------- sweep
 
 def test_sweep_single_gamma_matches_simulate(tmp_path):

@@ -542,6 +542,15 @@ def test_batch_validates_inputs():
         MeasurementBatch(1, [np.nan], [[1.0]], [[1.0]])
 
 
+def test_q_symmetry_tolerance_is_inclusive():
+    # Q is symmetric when no |Q_ij - Q_ji| exceeds 1e-10 times its largest
+    # |entry| (here 4): an asymmetry of exactly that passes, the next float fails.
+    atol = 1e-10 * 4.0
+    MeasurementBatch(1, [1.0, 1.0], np.eye(2), [[4.0, 0.0], [atol, 2.0]])
+    with pytest.raises(ValueError, match="not symmetric"):
+        MeasurementBatch(1, [1.0, 1.0], np.eye(2), [[4.0, 0.0], [np.nextafter(atol, 1.0), 2.0]])
+
+
 def test_batch_defaults_q_to_identity():
     batch = MeasurementBatch(1, [1.0, 2.0], np.eye(2))
     assert np.array_equal(batch.Q, np.eye(2))

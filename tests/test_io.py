@@ -15,6 +15,14 @@ def test_format_float_round_trips_exactly():
         assert float(wio.format_float(x)) == x
 
 
+def test_estimates_row_writes_each_float_as_format_float():
+    values = [-0.0, 5e-324, 1e308, -1.7976931348623157e308, 0.1, 1 / 3, 2.0 / 3e-7, 123456789.12345679, 0.0]
+    buf = stdio.StringIO()
+    wio.write_estimates_row(buf, 12, np.array(values))
+    assert buf.getvalue() == ",".join(["12"] + [wio.format_float(v) for v in values]) + "\n"
+    assert [float(v) for v in buf.getvalue().split(",")[1:]] == values
+
+
 def test_batch_dict_round_trip():
     batch = MeasurementBatch(3, [1.0, 2.0], [[1.0, 0.5, 0.25], [0.0, 1.0, -1.0]], 2.0 * np.eye(2), b=[0.1, -0.2])
     d = wio.batch_to_dict(batch)

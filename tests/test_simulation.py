@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -150,6 +151,74 @@ def test_bulk_integer_draws_equal_scalar_draws(size):
         # the generators end in the same state, so later draws agree too
         after = [rng.integers(0, size, size=5).tolist() for rng in (scalar_rng, bulk_rng, chunked_rng)]
         assert after[0] == after[1] == after[2]
+
+
+def reference_window_sequence(ensemble, horizon, seed, k):
+    """The 'window' sampler as a plain loop: scalar draws, a membership test
+    over the list of the last k - 1 members, and one rank test per sorted
+    member tuple of a complete window."""
+    rng = np.random.default_rng(seed)
+    verdicts = {}
+    indices = []
+    for pos in range(horizon):
+        forbidden = indices[-(k - 1):] if k > 1 else []
+        while True:
+            cand = int(rng.integers(0, len(ensemble)))
+            if cand in forbidden:
+                continue
+            if pos >= k - 1:
+                key = tuple(sorted(forbidden + [cand]))
+                if key not in verdicts:
+                    stacked = np.vstack([ensemble.members[i][0] for i in key])
+                    verdicts[key] = analysis._full_column_rank(stacked)
+                if not verdicts[key]:
+                    continue
+            break
+        indices.append(cand)
+    return indices
+
+
+def row_library(rows, copies=1):
+    """Ensemble of one-row members, `copies` members per row in turn."""
+    return analysis.SystemEnsemble(
+        tuple((np.array([row], dtype=float), np.eye(1)) for _ in range(copies) for row in rows),
+        len(rows[0]),
+    )
+
+
+# Rows whose windows are often rank deficient, so rank verdicts reject candidates.
+DEPENDENT_ROWS = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 1, 0]]
+# 70 pairwise independent integer rows in 3 states: any two extend to a full
+# rank window of 3, and many thirds lie in their plane.
+LINES = [
+    row for row in itertools.product(range(-3, 4), repeat=3)
+    if math.gcd(*row) == 1 and row > (0, 0, 0)
+][:70]
+
+
+@pytest.mark.parametrize(
+    "make_ensemble, k",
+    [
+        (lambda: generate_library(3, 3, 4, 45), 1),
+        (lambda: generate_library(6, 2, 3, 44), 3),
+        (lambda: generate_library(15, 3, 10, 51), 10),
+        (lambda: row_library(DEPENDENT_ROWS), 4),
+        (lambda: row_library(DEPENDENT_ROWS), 7),
+        (lambda: generate_library(8, 1, 70, 111), 8),
+        (lambda: row_library(LINES), 3),
+    ],
+    ids=["k1", "k_equals_L3", "k_equals_L10", "rank_rejections", "rank_rejections_k_equals_L",
+         "L70", "L70_rank_rejections"],
+)
+def test_bitmask_sampler_equals_reference_loop(make_ensemble, k):
+    # The sampler keeps the last k - 1 members as a bitmask and looks rank
+    # verdicts up by the window's bitmask; it must draw what the list and
+    # sorted-tuple loop draws, for k = 1, for k = L, with rank rejections,
+    # and for libraries whose bitmasks do not fit in 64 bits.
+    ens = make_ensemble()
+    for seed in (0, 3, 2**64 - 1):
+        seq = generate_sequence(ens, 150, "window", seed, k)
+        assert seq.tolist() == reference_window_sequence(ens, 150, seed, k)
 
 
 def test_sequence_window_never_full_rank_raises_at_first_full_window():
@@ -469,6 +538,40 @@ def test_lockstep_runs_do_not_depend_on_block_size(monkeypatch):
         assert_runs_equal(a, b)
     for i, run in enumerate(blocked):
         assert_runs_equal(run, simulate_run(sc, seed_for_run(sc, i), keep_details=True))
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 7, 8])
+@pytest.mark.parametrize("keep_details", [False, True])
+def test_final_estimate_is_the_estimate_at_the_horizon(horizon, keep_details):
+    # Without details the engine keeps no estimate trajectory; the final
+    # estimate must still be x_hat(T) for odd and even T.
+    sc = small_scenario(horizon=horizon, n_runs=5)
+    ens = build_ensemble(sc)
+    detailed = list(iter_runs(sc, keep_details=True))
+    runs = list(iter_runs(sc, keep_details=keep_details))
+    for run, reference in zip(runs, detailed):
+        estimates = update_fold(sc, ens, reference)
+        assert np.array_equal(run.final_estimate, estimates[-1])
+        assert np.array_equal(run.per_step_error, reference.per_step_error)
+        if keep_details:
+            assert np.array_equal(run.estimates, estimates)
+        else:
+            assert run.estimates is None and run.states is None
+            assert run.deltas is None and run.noises is None
+
+
+@pytest.mark.parametrize("track_covariance", [False, True])
+def test_sweep_does_not_depend_on_block_size(monkeypatch, track_covariance):
+    sc = small_scenario(n_runs=7)
+    gammas = [0.1, 0.5, 2.0]
+    reference = simulation.sweep(sc, gammas, track_covariance=track_covariance)
+    monkeypatch.setattr(simulation, "BLOCK_RUNS", 3)
+    blocked = simulation.sweep(sc, gammas, track_covariance=track_covariance)
+    for a, b in zip(reference, blocked):
+        assert np.array_equal(a.mean_error, b.mean_error)
+        assert np.array_equal(a.rms_error, b.rms_error)
+        if track_covariance:
+            assert np.array_equal(a.empirical_cov, b.empirical_cov)
 
 
 def test_lockstep_earlier_runs_do_not_change_when_n_runs_grows():
