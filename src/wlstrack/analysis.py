@@ -431,9 +431,6 @@ def _check_finite(**values) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
-_SMALLEST_NORMAL = np.finfo(float).tiny
-
-
 def gamma_star_bounded(c, lambda_bar, delta_n, delta_x) -> float:
     """Minimizer sqrt(c * lambda_bar * delta_n / delta_x) of the bounded-noise bound.
 
@@ -441,11 +438,12 @@ def gamma_star_bounded(c, lambda_bar, delta_n, delta_x) -> float:
     has no finite minimizer).  With delta_n = 0 the bound decreases toward
     gamma -> 0; 0.0 is returned and a warning issued.
 
-    When the product under the root overflows or underflows, it is formed
-    from the factors' mantissas and the sum of their binary exponents
-    instead: scaling by a power of two is exact, so this is the root of the
-    same rounded product, and inf only when the minimizer itself is not
-    representable.
+    The product under the root is formed from the factors' mantissas, and
+    the sum of their binary exponents is applied to the root, so no
+    intermediate overflows or underflows.  Scaling by a power of two is
+    exact, so wherever every intermediate of the direct product is a normal
+    float this gives the same bits as the direct form; the result is inf
+    only when the minimizer itself is not representable.
     """
     _check_finite(c=c, lambda_bar=lambda_bar, delta_n=delta_n, delta_x=delta_x)
     if delta_x <= 0:
@@ -453,9 +451,6 @@ def gamma_star_bounded(c, lambda_bar, delta_n, delta_x) -> float:
     if delta_n == 0:
         warnings.warn("delta_n is 0: bound is minimized as gamma -> 0, returning 0.0")
         return 0.0
-    product = c * lambda_bar * delta_n / delta_x
-    if _SMALLEST_NORMAL <= abs(product) < np.inf:
-        return float(np.sqrt(product))
     (mc, ec), (ml, el), (mn, en), (mx, ex) = map(math.frexp, (c, lambda_bar, delta_n, delta_x))
     half, odd = divmod(ec + el + en - ex, 2)
     with np.errstate(over="ignore", under="ignore"):

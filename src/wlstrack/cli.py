@@ -329,7 +329,7 @@ def main(argv=None) -> int:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OverflowError as exc:
-        print(f"numerical error: floating-point overflow ({exc.args[-1]})", file=sys.stderr)
+        print(f"numerical error: floating-point overflow: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

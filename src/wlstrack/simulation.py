@@ -24,8 +24,8 @@ then advanced one step at a time as one stack over the runs and every gamma
 of a sweep, gathering each run's member matrix and precomputed member gain
 at each gamma, through the same step kernel that estimator.update uses.
 Each step's error norms are taken as the step is made, so a block keeps
-only its current estimates, and whole estimate trajectories only for a
-caller that asks for them (keep_details, track_covariance).
+its current estimates and error norms, and whole estimate trajectories only
+for a caller that asks for them (keep_details, track_covariance).
 """
 
 from __future__ import annotations
@@ -292,7 +292,6 @@ def generate_sequence(
         raise ValueError(f"library of {size} members cannot fill a window of {k} without repeats")
 
     candidates = _candidate_stream(rng, size)
-    ranks = ensemble._memo
     indices: list[int] = []
     recent = 0  # bitmask of the last k - 1 members
     max_attempts = 1000 * size
@@ -302,12 +301,8 @@ def generate_sequence(
             bit = 1 << cand
             if recent & bit:
                 continue
-            if complete:
-                good = ranks.get(recent | bit)
-                if good is None:
-                    good = ensemble._mask_full_rank(recent | bit)
-                if not good:
-                    continue
+            if complete and not ensemble._mask_full_rank(recent | bit):
+                continue
             break
         else:
             raise RuntimeError(
@@ -382,9 +377,10 @@ def run_sequence(scenario: ScenarioConfig, ensemble: SystemEnsemble, run_seed: i
 # is the same in a block of any size.  A block takes T kernel calls, so the
 # 40 runs of a sweep take 400 calls at 32 instead of 1000 at 8.  A block
 # holds its true states, R x (T + 1) x N doubles (0.77 MB at 32 for the
-# 15-state, 200-step acceptance scenario), its measurements and the current
-# G x R x N estimates; only a caller that keeps whole estimate trajectories
-# (keep_details, track_covariance) adds G x R x (T + 1) x N doubles.  On the
+# 15-state, 200-step acceptance scenario), its measurements, the current
+# G x R x N estimates and the G x R x T error norms; only a caller that keeps
+# whole estimate trajectories (keep_details, track_covariance) adds
+# G x R x (T + 1) x N doubles.  On the
 # 5-gamma, 40-run sweep of that scenario, in one process that holds only
 # wlstrack and numpy with one BLAS thread on a shared 2-core Xeon VM, the
 # fastest of 25 interleaved calls took 40.7, 34.1 and 32.9 ms and the

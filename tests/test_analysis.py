@@ -1,3 +1,5 @@
+import decimal
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -367,10 +369,28 @@ def test_gamma_star_bounded_survives_overflow_and_underflow_of_the_product():
     assert gamma_star_bounded(1e-300, 1e-300, 1, 1) == 1e-300
     assert gamma_star_bounded(1e200, 1e200, 1e100, 1e-100) == pytest.approx(1e300, rel=1e-15)
     assert gamma_star_bounded(1e300, 1e300, 1e300, 1e-300) == np.inf  # gamma* = 1e600
-    # Where the product is a normal float, the root is taken of it as before.
+    # Where every intermediate of the direct product is normal, the same bits.
     rng = np.random.default_rng(5)
     for c, lb, dn, dx in 10.0 ** rng.uniform(-70, 70, size=(200, 4)):
         assert gamma_star_bounded(c, lb, dn, dx) == np.sqrt(c * lb * dn / dx)
+
+
+def test_gamma_star_bounded_is_accurate_when_an_intermediate_is_subnormal():
+    # c * lambda_bar = 3.4e-322 is subnormal, which puts the direct product 0.2 % off.
+    args = (1.2117005096176456e-240, 2.842782839828568e-82, 232584824693022.97, 3.660225812795203e-137)
+    assert gamma_star_bounded(*args) == pytest.approx(_exact_gamma_star(*args), rel=1e-15)
+    rng = np.random.default_rng(11)
+    for row in 10.0 ** rng.uniform(-300, 300, size=(300, 4)):
+        exact = _exact_gamma_star(*row)
+        if 1e-300 < exact < 1e300:
+            assert gamma_star_bounded(*row) == pytest.approx(exact, rel=1e-15)
+
+
+def _exact_gamma_star(c, lambda_bar, delta_n, delta_x) -> float:
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        c, lambda_bar, delta_n, delta_x = map(decimal.Decimal, (c, lambda_bar, delta_n, delta_x))
+        return float((c * lambda_bar * delta_n / delta_x).sqrt())
 
 
 def test_gamma_star_bounded_zero_noise_warns():

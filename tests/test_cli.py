@@ -241,6 +241,15 @@ def test_bounds_overflow_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_overflow_without_args_exits_3(monkeypatch, capsys):
+    def overflow(args):
+        raise OverflowError
+
+    monkeypatch.setattr(wlstrack.cli, "cmd_verify", overflow)
+    assert main(["verify", "unused.json"]) == 3
+    assert capsys.readouterr().err == "numerical error: floating-point overflow: \n"
+
+
 # --------------------------------------------------------------------- sweep
 
 def test_sweep_single_gamma_matches_simulate(tmp_path):
