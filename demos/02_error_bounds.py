@@ -97,10 +97,10 @@ gauss = build_ensemble(
     )
 )
 cg = ensemble_constants(gauss)
-star_s = gamma_star_stochastic(tau, cg.capital_c, cg.m, 1.0, cg.lambda_bar)
+star_s = gamma_star_stochastic(cg.capital_c, cg.m, 1.0, cg.lambda_bar)
 print()
 print("stochastic noise (covariance 0.25 I, so Q = 0.25 I):")
 print("   gamma     H_s")
 for g in (0.1, 0.4, 1.0, star_s, 10.0):
     print(f"  {g:>6.4f}   {h_stochastic(g, tau, cg.capital_c, cg.m, 1.0, cg.lambda_bar):>8.2f}")
-print(f"bound-optimal gamma* (golden-section over the curve) = {star_s:.4f}")
+print(f"bound-optimal gamma* (root of dx^2 g^5 = (C m)^2 (g + 2 lambda_bar)) = {star_s:.4f}")

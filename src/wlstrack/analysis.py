@@ -376,6 +376,19 @@ def _per_step_array(per_step, T: int) -> np.ndarray:
     return arr[:T]
 
 
+def _psi_weighted_sums(tau: int, psi_value: float, head: float, g: np.ndarray) -> np.ndarray:
+    """psi^floor(T/tau) head + sum_{t=1..T} psi^floor((T+1-t)/tau) g_t for every
+    T = 1..len(g): a discrete convolution of g with the stepped powers of psi."""
+    T = len(g)
+    pw = psi_value ** (np.arange(T + 1) // tau)  # pw[s] = psi^floor(s/tau)
+    return pw[1:] * float(head) + np.convolve(g, pw[1:])[:T]
+
+
+def _bounded_terms(per_step, T: int, gamma) -> np.ndarray:
+    arr = _per_step_array(per_step, T)
+    return arr[:, 0] + arr[:, 1] * arr[:, 2] / _check_gamma(gamma)
+
+
 def bound_finite_bounded(T, tau, psi_value, xi0_norm, per_step, gamma) -> float:
     """Worst-case error norm at step T under norm-bounded noise.
 
@@ -387,32 +400,18 @@ def bound_finite_bounded(T, tau, psi_value, xi0_norm, per_step, gamma) -> float:
         + sum_{t=1..T} psi^floor((T+1-t)/tau) (delta_x_t + c_t delta_n_t / gamma).
     """
     T, tau, psi_value = _check_bound_args(T, tau, psi_value)
-    gamma = _check_gamma(gamma)
-    arr = _per_step_array(per_step, T)
-    g = arr[:, 0] + arr[:, 1] * arr[:, 2] / gamma
-    t = np.arange(1, T + 1)
-    total = psi_value ** (T // tau) * float(xi0_norm)
-    total += float(np.sum(psi_value ** ((T + 1 - t) // tau) * g))
-    return float(total)
+    g = _bounded_terms(per_step, T, gamma)
+    return float(_psi_weighted_sums(tau, psi_value, xi0_norm, g)[T - 1])
 
 
 def bound_series_bounded(tau, psi_value, xi0_norm, per_step, gamma) -> np.ndarray:
-    """bound_finite_bounded evaluated at every T = 1..len(per_step), vectorized.
-
-    The inner sum is a discrete convolution of the per-step terms with the
-    stepped powers of psi, so the whole series costs one convolution.
-    """
-    arr = np.asarray(per_step, dtype=float)
-    T = arr.shape[0]
+    """bound_finite_bounded evaluated at every T = 1..len(per_step), vectorized."""
+    T = np.asarray(per_step, dtype=float).shape[0]
     _, tau, psi_value = _check_bound_args(max(T, 1), tau, psi_value)
     gamma = _check_gamma(gamma)
     if T == 0:
         return np.zeros(0)
-    arr = _per_step_array(per_step, T)
-    g = arr[:, 0] + arr[:, 1] * arr[:, 2] / gamma
-    pw = psi_value ** (np.arange(T + 1) // tau)  # pw[s] = psi^floor(s/tau)
-    sums = np.convolve(g, pw[1:])[:T]
-    return pw[1:] * float(xi0_norm) + sums
+    return _psi_weighted_sums(tau, psi_value, xi0_norm, _bounded_terms(per_step, T, gamma))
 
 
 def h_bounded(gamma, tau, delta_x, c, delta_n, lambda_bar) -> float:
@@ -421,8 +420,12 @@ def h_bounded(gamma, tau, delta_x, c, delta_n, lambda_bar) -> float:
         tau * (delta_x + c * delta_n / gamma) * (1 + gamma / lambda_bar)
     """
     gamma = _check_gamma(gamma)
-    tau = _check_tau(tau)
-    return float(tau * (delta_x + c * delta_n / gamma) * (1.0 + gamma / lambda_bar))
+    return _grown(_check_tau(tau), delta_x + c * delta_n / gamma, gamma, lambda_bar)
+
+
+def _grown(tau: int, g: float, gamma: float, lambda_bar: float) -> float:
+    """tau * g * (1 + gamma / lambda_bar), the form of every asymptotic bound."""
+    return float((tau * g) * (1.0 + gamma / lambda_bar))
 
 
 def _check_finite(**values) -> None:
@@ -530,12 +533,10 @@ def bound_finite_stochastic(T, tau, psi_value, xi0_norm, sigma0_frob, per_step, 
     """
     T, tau, psi_value = _check_bound_args(T, tau, psi_value)
     arr = _per_step_array(per_step, T)
-    t = np.arange(1, T + 1)
-    w = psi_value ** ((T + 1 - t) // tau)
-    head = psi_value ** (T // tau)
-    mu_bound = head * float(xi0_norm) + float(np.sum(w * arr[:, 0]))
     scale = 1.0 if gamma is None else 1.0 / _check_gamma(gamma) ** 2
-    sigma_bound = head * float(sigma0_frob) + scale * float(np.sum(w * arr[:, 1] * arr[:, 2]))
+    mu_bound = _psi_weighted_sums(tau, psi_value, xi0_norm, arr[:, 0])[T - 1]
+    noise = scale * arr[:, 1] * arr[:, 2]
+    sigma_bound = _psi_weighted_sums(tau, psi_value, sigma0_frob, noise)[T - 1]
     return float(mu_bound), float(sigma_bound)
 
 
@@ -543,67 +544,62 @@ def h_stochastic(gamma, tau, capital_c, m, delta_x, lambda_bar) -> float:
     """Asymptotic bound on the root mean squared error under stochastic noise:
 
         tau * sqrt(C^2 m^2 / gamma^4 + delta_x^2) * (1 + gamma / lambda_bar)
+
+    C m / gamma^2 is formed as a chain of quotients and products and the root
+    by math.hypot, so no power of C m or gamma overflows or underflows.
     """
     gamma = _check_gamma(gamma)
-    tau = _check_tau(tau)
-    return float(
-        tau * np.sqrt((capital_c * m) ** 2 / gamma**4 + delta_x**2) * (1.0 + gamma / lambda_bar)
-    )
+    g = math.hypot(capital_c / gamma * m / gamma, delta_x)
+    return _grown(_check_tau(tau), g, gamma, lambda_bar)
 
 
-# gamma_star_stochastic probes h_stochastic at this many log-spaced points,
-# then refines the bracket around the sampled minimum down to this width.
-PROBE_POINTS = 129
-GOLDEN_SECTION_TOL = 1e-8
+# gamma_star_stochastic returns its root clipped to this interval.
+GAMMA_STAR_INTERVAL = (1e-3, 1e3)
 
 
-def gamma_star_stochastic(tau, capital_c, m, delta_x, lambda_bar, search_interval=(1e-3, 1e3)) -> float:
-    """Minimizer of h_stochastic over search_interval.
+def gamma_star_stochastic(capital_c, m, delta_x, lambda_bar) -> float:
+    """Minimizer of h_stochastic over GAMMA_STAR_INTERVAL = [lo, hi].
 
-    In u = log(gamma), log h_s = 1/2 log((C m)^2 e^{-4u} + delta_x^2)
-    + log(1 + e^u / lambda_bar) + log(tau): a log-sum-exp of affine terms
-    plus a softplus, so convex for lambda_bar > 0.  The profile is therefore
-    unimodal on a log scale, and the minimum of the PROBE_POINTS log-spaced
-    probe brackets the minimizer, which a golden-section search refines down
-    to GOLDEN_SECTION_TOL.
+    d log h_s / d gamma = 0 reduces to delta_x^2 gamma^5 = (C m)^2 (gamma + 2 lambda_bar),
+    with exactly one positive root; tau only scales h_s and does not enter it.
+    In u = log(gamma) the root is the fixed point of
+
+        u = (2 log(|C m| / |delta_x|) + logaddexp(u, log(2 lambda_bar))) / 5,
+
+    a map that contracts by at most 1/5, so 60 iterations from
+    u = 2 log(|C m| / |delta_x|) / 5 converge, and no power of C m, delta_x
+    or gamma is ever formed.  log h_s is convex in u, so the root clipped to
+    the interval (in u) is the minimizer over it: lo when C m = 0 (h_s then
+    grows with gamma), hi when delta_x = 0 (h_s then falls).
     """
-    tau = _check_tau(tau)
     if not (0 < lambda_bar < np.inf):
         raise ValueError(f"lambda_bar must be positive and finite, got {lambda_bar}")
-    lo, hi = float(search_interval[0]), float(search_interval[1])
-    _check_finite(capital_c=capital_c, m=m, delta_x=delta_x, hi=hi)
-    if not (0 < lo < hi):
-        raise ValueError(f"search_interval must satisfy 0 < lo < hi, got {search_interval}")
-
-    def f(g: float) -> float:
-        return h_stochastic(g, tau, capital_c, m, delta_x, lambda_bar)
-
-    xs = np.geomspace(lo, hi, PROBE_POINTS)
-    k = int(np.argmin([f(x) for x in xs]))
-    a = xs[max(k - 1, 0)]
-    b = xs[min(k + 1, len(xs) - 1)]
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    c_pt = b - inv_phi * (b - a)
-    d_pt = a + inv_phi * (b - a)
-    fc, fd = f(c_pt), f(d_pt)
-    while b - a > GOLDEN_SECTION_TOL:
-        if fc <= fd:
-            b, d_pt, fd = d_pt, c_pt, fc
-            c_pt = b - inv_phi * (b - a)
-            fc = f(c_pt)
-        else:
-            a, c_pt, fc = c_pt, d_pt, fd
-            d_pt = a + inv_phi * (b - a)
-            fd = f(d_pt)
-    return float(0.5 * (a + b))
+    _check_finite(capital_c=capital_c, m=m, delta_x=delta_x)
+    lo, hi = GAMMA_STAR_INTERVAL
+    if capital_c == 0 or m == 0:
+        return lo
+    if delta_x == 0:
+        return hi
+    k = 2.0 * (math.log(abs(capital_c)) + math.log(abs(m)) - math.log(abs(delta_x)))
+    log_2lb = math.log(2.0) + math.log(lambda_bar)
+    u = k / 5.0
+    for _ in range(60):
+        u = (k + np.logaddexp(u, log_2lb)) / 5.0
+    if u <= math.log(lo):
+        return lo
+    if u >= math.log(hi):
+        return hi
+    return float(np.exp(u))
 
 
-def gamma_star(noise_mode: str, consts: EnsembleConstants, tau, delta_x, delta_n) -> float:
-    """Bound-optimal inertia weight for noise_mode 'bounded' (tau is not read) or 'gaussian'."""
+def gamma_star(noise_mode: str, consts: EnsembleConstants, delta_x, delta_n) -> float:
+    """Bound-optimal inertia weight for noise_mode 'bounded' (gamma_star_bounded)
+    or 'gaussian' (gamma_star_stochastic).  Neither depends on the observability
+    window tau."""
     if noise_mode == "bounded":
         return gamma_star_bounded(consts.c, consts.lambda_bar, delta_n, delta_x)
     if noise_mode == "gaussian":
-        return gamma_star_stochastic(tau, consts.capital_c, consts.m, delta_x, consts.lambda_bar)
+        return gamma_star_stochastic(consts.capital_c, consts.m, delta_x, consts.lambda_bar)
     raise ValueError(f"noise_mode must be 'bounded' or 'gaussian', got {noise_mode!r}")
 
 
@@ -674,12 +670,12 @@ def bound_report(
     tau = _check_tau(tau)
     gamma = _check_gamma(gamma)
     consts = ensemble_constants(ensemble)
-    star = gamma_star(noise_mode, consts, tau, delta_x, delta_n)
+    star = gamma_star(noise_mode, consts, delta_x, delta_n)
     lb = consts.lambda_bar
     psi_value = psi_from_lambda_bar(gamma, lb)
     h_b = h_bounded(gamma, tau, delta_x, consts.c, delta_n, lb)
-    h_mu = float(tau * delta_x * (1.0 + gamma / lb))
-    h_sigma = float(tau * consts.capital_c * consts.m / gamma**2 * (1.0 + gamma / lb))
+    h_mu = _grown(tau, delta_x, gamma, lb)
+    h_sigma = _grown(tau, consts.capital_c / gamma * consts.m / gamma, gamma, lb)
     h_s = h_stochastic(gamma, tau, consts.capital_c, consts.m, delta_x, lb)
     return BoundReport(
         tau=tau,

@@ -64,11 +64,6 @@ def _tau(sequence, ensemble, advice: str = NO_WINDOW) -> int:
     return tau
 
 
-def _run0_sequence(scenario: simulation.ScenarioConfig, ensemble):
-    """Member sequence of the scenario's first run, whose window stands for the scenario's."""
-    return simulation.run_sequence(scenario, ensemble, simulation.seed_for_run(scenario, 0))
-
-
 def _parse_gammas(text: str) -> list[float]:
     try:
         gammas = [float(part) for part in text.split(",") if part.strip()]
@@ -81,135 +76,129 @@ def _parse_gammas(text: str) -> list[float]:
     return gammas
 
 
-def _dump_run0(args, scenario, ensemble, run0) -> None:
-    """Write run 0's measurement batches and estimate trajectory, as requested."""
-    if args.dump_measurements:
-        with open(args.dump_measurements, "w", encoding="utf-8") as fobj:
-            io.write_run_measurements_jsonl(run0, ensemble, fobj)
-    if args.dump_estimates:
-        with open(args.dump_estimates, "w", encoding="utf-8") as fobj:
-            io.write_estimates_header(fobj, scenario.n_states)
-            for t in range(1, scenario.horizon + 1):
-                io.write_estimates_row(fobj, t, run0.estimates[t])
-
-
 def cmd_simulate(args) -> int:
-    scenario = _load_scenario(args.config)
-    _check_int(args.jobs, "n_jobs", 1)
-    ensemble = simulation.build_ensemble(scenario)
-    # One pass feeds every output; tau comes from run 0 before any file is opened.
-    # Only run 0's details are written, so only run 0 keeps them.
-    seeds = [simulation.seed_for_run(scenario, i) for i in range(scenario.n_runs)]
-    keep_details = bool(args.dump_measurements or args.dump_estimates)
-    run0 = simulation.simulate_run(scenario, seeds[0], ensemble, keep_details=keep_details)
-    runs = simulation._runs(scenario, ensemble, seeds[1:])
-    tau = _tau(run0.member_indices, ensemble)
-    consts = analysis.ensemble_constants(ensemble)
-    psi_value = analysis.psi_from_lambda_bar(scenario.gamma, consts.lambda_bar)
-    print(
-        f"# psi={psi_value:.6g} tau={tau} lambda_bar={consts.lambda_bar:.6g} c={consts.c:.6g}",
-        file=sys.stderr,
-    )
-    _dump_run0(args, scenario, ensemble, run0)
-    norms = []
-    runs_file = open(args.dump_runs, "w", encoding="utf-8") if args.dump_runs else contextlib.nullcontext()
-    with runs_file as runs_out:
+    paths = (args.out, args.dump_measurements, args.dump_estimates, args.dump_runs)
+    with _replacing(*paths) as (out, meas_out, est_out, runs_out):
+        scenario = _load_scenario(args.config)
+        _check_int(args.jobs, "n_jobs", 1)
+        ensemble = simulation.build_ensemble(scenario)
+        # One pass feeds every output.  Only run 0's details are written, so only run 0 keeps them.
+        seeds = [simulation.seed_for_run(scenario, i) for i in range(scenario.n_runs)]
+        keep_details = bool(meas_out or est_out)
+        run0 = simulation.simulate_run(scenario, seeds[0], ensemble, keep_details=keep_details)
+        runs = simulation._runs(scenario, ensemble, seeds[1:])
+        tau = _tau(run0.member_indices, ensemble)
+        consts = analysis.ensemble_constants(ensemble)
+        psi_value = analysis.psi_from_lambda_bar(scenario.gamma, consts.lambda_bar)
+        print(
+            f"# psi={psi_value:.6g} tau={tau} lambda_bar={consts.lambda_bar:.6g} c={consts.c:.6g}",
+            file=sys.stderr,
+        )
+        if meas_out:
+            io.write_run_measurements_jsonl(run0, ensemble, meas_out)
+        if est_out:
+            io.write_estimates_header(est_out, scenario.n_states)
+            for t in range(1, scenario.horizon + 1):
+                io.write_estimates_row(est_out, t, run0.estimates[t])
+        norms = []
         for run in itertools.chain([run0], runs):
             norms.append(run.per_step_error)
             if runs_out:
                 io.write_run_results_jsonl([run], runs_out)
-    with open(args.out, "w", encoding="utf-8") as fobj:
-        io.write_mc_summary_csv(simulation.summarize(norms), fobj)
+        io.write_mc_summary_csv(simulation.summarize(norms), out)
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    scenario = _load_scenario(args.config)
-    gammas = _parse_gammas(args.gammas)
-    summaries = simulation.sweep(scenario, gammas, n_jobs=args.jobs)
-    use_rms = scenario.noise.kind == "gaussian"
-    with open(args.out, "w", encoding="utf-8") as fobj:
-        io.write_sweep_csv(gammas, summaries, fobj, use_rms=use_rms)
+    with _replacing(args.out) as (out,):
+        scenario = _load_scenario(args.config)
+        gammas = _parse_gammas(args.gammas)
+        summaries = simulation.sweep(scenario, gammas, n_jobs=args.jobs)
+        io.write_sweep_csv(gammas, summaries, out, use_rms=scenario.noise.kind == "gaussian")
     return EXIT_OK
 
 
 def cmd_bounds(args) -> int:
-    payload = _load_json(args.input)
-    tau = args.tau
-    if isinstance(payload, dict) and "members" in payload:
-        ensemble = io.ensemble_from_dict(payload)
-        delta_x = 1.0 if args.delta_x is None else args.delta_x
-        delta_n = 1.0 if args.delta_n is None else args.delta_n
-        if tau is None:
-            advice = "round-robin over the ensemble never reaches joint full rank; pass --tau"
-            tau = _tau(list(range(len(ensemble))) * 3, ensemble, advice)
-    else:
-        scenario = io.scenario_from_dict(payload)
-        ensemble = simulation.build_ensemble(scenario)
-        if tau is None:
-            tau = _tau(_run0_sequence(scenario, ensemble), ensemble)
-        delta_x = scenario.delta_x if args.delta_x is None else args.delta_x
-        delta_n = scenario.noise.delta_n if args.delta_n is None else args.delta_n
-    simulation._check_nonnegative(delta_x, "delta_x")
-    simulation._check_nonnegative(delta_n, "delta_n")
-
-    if args.gamma is not None:
-        gammas = [args.gamma]
-    else:
-        lo, hi, count = args.gamma_grid
-        if not (0 < lo < hi) or int(count) != count or count < 1:
-            raise ValueError("--gamma-grid needs 0 < LO < HI and an integer COUNT >= 1")
-        gammas = list(np.geomspace(lo, hi, int(count)))
-
-    # Compute everything before opening OUT, so that rejected input leaves no file behind.
-    consts = analysis.ensemble_constants(ensemble)
-    h_b = [
-        analysis.h_bounded(g, tau, delta_x, consts.c, delta_n, consts.lambda_bar) for g in gammas
-    ]
-    h_s = [
-        analysis.h_stochastic(g, tau, consts.capital_c, consts.m, delta_x, consts.lambda_bar)
-        for g in gammas
-    ]
-    reports = {}
-    for mode in ("bounded", "gaussian"):
-        # --gamma (h_b rejected any but a positive one), else gamma*, else gammas[0] when gamma* is 0.
-        gamma = args.gamma or analysis.gamma_star(mode, consts, tau, delta_x, delta_n) or gammas[0]
-        reports[mode] = analysis.bound_report(ensemble, tau, gamma, delta_x, delta_n, noise_mode=mode)
-    with open(args.out, "w", encoding="utf-8") as fobj:
-        io.write_bounds_csv(gammas, h_b, h_s, fobj)
     report_path = args.report if args.report else args.out + ".report.json"
-    with open(report_path, "w", encoding="utf-8") as fobj:
-        io.write_bound_reports_json(reports, fobj)
+    with _replacing(args.out, report_path) as (out, report_out):
+        payload = _load_json(args.input)
+        tau = args.tau
+        if isinstance(payload, dict) and "members" in payload:
+            ensemble = io.ensemble_from_dict(payload)
+            delta_x = 1.0 if args.delta_x is None else args.delta_x
+            delta_n = 1.0 if args.delta_n is None else args.delta_n
+            if tau is None:
+                advice = "round-robin over the ensemble never reaches joint full rank; pass --tau"
+                tau = _tau(list(range(len(ensemble))) * 3, ensemble, advice)
+        else:
+            scenario = io.scenario_from_dict(payload)
+            ensemble = simulation.build_ensemble(scenario)
+            if tau is None:
+                # Run 0's window stands for the scenario's.
+                seed0 = simulation.seed_for_run(scenario, 0)
+                tau = _tau(simulation.run_sequence(scenario, ensemble, seed0), ensemble)
+            delta_x = scenario.delta_x if args.delta_x is None else args.delta_x
+            delta_n = scenario.noise.delta_n if args.delta_n is None else args.delta_n
+        simulation._check_nonnegative(delta_x, "delta_x")
+        simulation._check_nonnegative(delta_n, "delta_n")
+
+        if args.gamma is not None:
+            gammas = [args.gamma]
+        else:
+            lo, hi, count = args.gamma_grid
+            if not (0 < lo < hi) or int(count) != count or count < 1:
+                raise ValueError("--gamma-grid needs 0 < LO < HI and an integer COUNT >= 1")
+            gammas = list(np.geomspace(lo, hi, int(count)))
+
+        consts = analysis.ensemble_constants(ensemble)
+        lb = consts.lambda_bar
+        h_b = [analysis.h_bounded(g, tau, delta_x, consts.c, delta_n, lb) for g in gammas]
+        h_s = [analysis.h_stochastic(g, tau, consts.capital_c, consts.m, delta_x, lb) for g in gammas]
+        reports = {}
+        for mode in ("bounded", "gaussian"):
+            # --gamma (h_b rejected any but a positive one), else gamma*,
+            # else gammas[0] when gamma* is 0.
+            gamma = args.gamma or analysis.gamma_star(mode, consts, delta_x, delta_n) or gammas[0]
+            reports[mode] = analysis.bound_report(ensemble, tau, gamma, delta_x, delta_n, mode)
+        io.write_bounds_csv(gammas, h_b, h_s, out)
+        io.write_bound_reports_json(reports, report_out)
     print(f"# report written to {report_path}", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_gamma_star(args) -> int:
     scenario = _load_scenario(args.config)
-    ensemble = simulation.build_ensemble(scenario)
-    consts = analysis.ensemble_constants(ensemble)
+    consts = analysis.ensemble_constants(simulation.build_ensemble(scenario))
     mode = args.mode if args.mode else scenario.noise.kind
-    # The bounded-noise gamma* does not depend on tau, so it is not computed there.
-    tau = None if mode == "bounded" else _tau(_run0_sequence(scenario, ensemble), ensemble)
-    star = analysis.gamma_star(mode, consts, tau, scenario.delta_x, scenario.noise.delta_n)
+    star = analysis.gamma_star(mode, consts, scenario.delta_x, scenario.noise.delta_n)
     print(io.format_float(star))
     return EXIT_OK
 
 
 @contextlib.contextmanager
-def _replacing(path: str):
-    """Text file open for writing beside `path`, moved onto it when the block
-    completes and removed when it raises, so a rejected input leaves `path`
-    as it was."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    fobj = open(tmp, "x", encoding="utf-8")
+def _replacing(*paths):
+    """Text files open for writing beside each of `paths` (an absent output,
+    None or empty, yields None).  All are opened before the block runs, moved
+    onto their paths when it completes and removed when it raises, so a failed
+    command leaves every path as it was."""
+    made = []  # (temporary, final) path of every file opened here
     try:
-        with fobj:
-            yield fobj
-        os.replace(tmp, path)
+        with contextlib.ExitStack() as stack:
+            files = []
+            for path in paths:
+                if not path:
+                    files.append(None)
+                    continue
+                tmp = f"{path}.{os.getpid()}.tmp"
+                files.append(stack.enter_context(open(tmp, "x", encoding="utf-8")))
+                made.append((tmp, path))
+            yield files
+        for tmp, path in made:
+            os.replace(tmp, path)
     except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
+        for tmp, _ in made:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
         raise
 
 
@@ -225,7 +214,7 @@ def cmd_replay(args) -> int:
         x0 = _as_float_array(x0, "x0", 1)
     state: EstimatorState | None = None
     config = None
-    with open(args.measurements, "r", encoding="utf-8") as src, _replacing(args.out) as dst:
+    with open(args.measurements, "r", encoding="utf-8") as src, _replacing(args.out) as (dst,):
         for batch in io.iter_batches_jsonl(src):
             if state is None:
                 n = batch.n_states

@@ -151,7 +151,10 @@ class ScenarioConfig:
         if not isinstance(self.noise, NoiseModel):
             raise ValueError("noise must be a NoiseModel")
         _check_gamma(self.gamma)
-        object.__setattr__(self, "seed", _check_int(self.seed, "seed"))
+        seed = _check_int(self.seed, "seed", 0)
+        if seed > _MASK64:
+            raise ValueError(f"seed must be below 2**64, got {seed}")
+        object.__setattr__(self, "seed", seed)
         if self.sequence_policy not in ("window", "uniform"):
             raise ValueError(
                 f"sequence_policy must be 'window' or 'uniform', got {self.sequence_policy!r}"

@@ -23,6 +23,8 @@ from .estimator import (
 )
 
 REL_TOL = 1e-10
+# Size of the instance the checks draw.
+N_STATES, N_MEAS = 4, 2
 
 
 def _rel_err(actual: np.ndarray, expected: np.ndarray) -> float:
@@ -41,13 +43,13 @@ def _suffix_products(lams: list[np.ndarray]) -> list[np.ndarray]:
     return out
 
 
-def run_verification(seed: int = 0, gamma: float = 0.5, n_states: int = 4, n_meas: int = 2):
+def run_verification(seed: int = 0, gamma: float = 0.5):
     """Run every invariant check; returns a list of (name, passed, detail)."""
-    horizon = 24
+    n_states, horizon = N_STATES, 24
     noise = simulation.NoiseModel("gaussian", 0.25)
     scenario = simulation.ScenarioConfig(
         n_states=n_states,
-        n_meas=n_meas,
+        n_meas=N_MEAS,
         horizon=horizon,
         library_size=6,
         delta_x=1.0,

@@ -369,13 +369,13 @@ def test_criterion_5b_sweep_ranks_bound_optimal_gamma_lowest(bounded_sweep):
 
 
 def test_criterion_5c_stochastic_gamma_star_consistent():
-    # Stochastic analogue: the searched minimizer of the stochastic bound
-    # must match a dense grid argmin (no closed form exists for it).
+    # Stochastic analogue: the minimizer of the stochastic bound (the root of
+    # its stationarity condition) must match a dense grid argmin.
     ensemble = simulation.generate_library(
         15, 3, 10, simulation.derive_seed(SEED, 0), q_scale=0.25
     )
     consts = analysis.ensemble_constants(ensemble)
-    star = analysis.gamma_star_stochastic(5, consts.capital_c, consts.m, 1.0, consts.lambda_bar)
+    star = analysis.gamma_star_stochastic(consts.capital_c, consts.m, 1.0, consts.lambda_bar)
     grid = np.geomspace(1e-3, 1e3, 10_000)
     values = [
         analysis.h_stochastic(g, 5, consts.capital_c, consts.m, 1.0, consts.lambda_bar)

@@ -406,7 +406,7 @@ def test_gamma_star_bounded_zero_variation_raises():
 @pytest.mark.parametrize(
     "call, name",
     [
-        (lambda: gamma_star_stochastic(3, np.nan, 1, 1, 1), "capital_c"),
+        (lambda: gamma_star_stochastic(np.nan, 1, 1, 1), "capital_c"),
         (lambda: gamma_star_bounded(np.nan, 1, 1, 1), "c"),
         (lambda: gamma_star_bounded(1, 1, np.inf, 1), "delta_n"),
     ],
@@ -577,9 +577,8 @@ def test_h_stochastic_unit_example():
     [
         lambda: h_bounded(1, 0, 1, 1, 1, 1),
         lambda: h_stochastic(1, -3, 1, 1, 1, 1),
-        lambda: gamma_star_stochastic(0, 1, 1, 1, 1),
     ],
-    ids=["h_bounded", "h_stochastic", "gamma_star_stochastic"],
+    ids=["h_bounded", "h_stochastic"],
 )
 def test_tau_below_one_is_rejected(call):
     with pytest.raises(ValueError, match="tau must be an integer >= 1"):
@@ -589,19 +588,18 @@ def test_tau_below_one_is_rejected(call):
 # ------------------------------------------------------ gamma_star_stochastic
 
 def test_gamma_star_stochastic_monotone_case_hits_lower_end():
-    star = gamma_star_stochastic(1, 0.0, 0.0, 1.0, 1.0, search_interval=(0.01, 10.0))
-    assert star == pytest.approx(0.01, rel=1e-4)
+    assert gamma_star_stochastic(0.0, 0.0, 1.0, 1.0) == analysis.GAMMA_STAR_INTERVAL[0]
 
 
 def test_gamma_star_stochastic_scale_invariance():
-    a = gamma_star_stochastic(3, 2.0, 1.5, 0.7, 0.4)
-    b = gamma_star_stochastic(3, 2.0 * 5, 1.5, 0.7 * 5, 0.4)
+    a = gamma_star_stochastic(2.0, 1.5, 0.7, 0.4)
+    b = gamma_star_stochastic(2.0 * 5, 1.5, 0.7 * 5, 0.4)
     assert a == pytest.approx(b, rel=1e-5)
 
 
 def test_gamma_star_stochastic_matches_grid():
     consts = ensemble_constants(experiment_ensemble(q_scale=0.25))
-    star = gamma_star_stochastic(5, consts.capital_c, consts.m, 1.0, consts.lambda_bar)
+    star = gamma_star_stochastic(consts.capital_c, consts.m, 1.0, consts.lambda_bar)
     grid = np.geomspace(1e-3, 1e3, 10_000)
     values = [h_stochastic(g, 5, consts.capital_c, consts.m, 1.0, consts.lambda_bar) for g in grid]
     k = int(np.argmin(values))
@@ -613,49 +611,78 @@ def log_uniform(lo_exp, hi_exp):
     return st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
 
 
+def _exact_stochastic_root(capital_c, m, delta_x, lambda_bar, lo, hi):
+    """Root of delta_x^2 g^5 - (C m)^2 (g + 2 lambda_bar) in [lo, hi] by a
+    60-digit bisection; "lo" or "hi" when the root lies beyond that end."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        a2 = (decimal.Decimal(capital_c) * decimal.Decimal(m)) ** 2
+        d2, two_lb = decimal.Decimal(delta_x) ** 2, 2 * decimal.Decimal(lambda_bar)
+
+        def f(g):
+            return d2 * g**5 - a2 * (g + two_lb)
+
+        a, b = decimal.Decimal(lo), decimal.Decimal(hi)
+        if f(a) >= 0:
+            return "lo"
+        if f(b) <= 0:
+            return "hi"
+        for _ in range(80):  # 1e3 / 2**80 < 1e-21, far below 1e-12 * lo
+            mid = (a + b) / 2
+            a, b = (mid, b) if f(mid) < 0 else (a, mid)
+        return a
+
+
 @given(
-    tau=st.integers(1, 50),
-    capital_c=st.just(0.0) | log_uniform(-8, 8),
-    m=st.just(0.0) | log_uniform(-8, 8),
-    delta_x=st.just(0.0) | log_uniform(-8, 8),
-    lambda_bar=log_uniform(-8, 8),
+    capital_c=st.just(0.0) | log_uniform(-150, 150),
+    m=log_uniform(-150, 150),
+    delta_x=st.just(0.0) | log_uniform(-150, 150),
+    lambda_bar=log_uniform(-150, 150),
 )
-def test_property_stochastic_bound_probe_is_unimodal(tau, capital_c, m, delta_x, lambda_bar):
-    # log h_s is convex in log(gamma), so on the log-spaced probe that
-    # gamma_star_stochastic brackets its minimum with, h_s never rises and
-    # then falls again (beyond 1e-12 of its largest value): the sampled
-    # argmin's neighbours bracket the minimizer.
-    xs = np.geomspace(1e-3, 1e3, analysis.PROBE_POINTS)
-    vals = np.array([h_stochastic(g, tau, capital_c, m, delta_x, lambda_bar) for g in xs])
-    diffs = np.diff(vals)
-    slack = 1e-12 * np.abs(vals).max()
-    rising = np.nonzero(diffs > slack)[0]
-    if rising.size:
-        assert np.all(diffs[rising[0]:] >= -slack)
+def test_property_stochastic_gamma_star_is_the_clipped_root(capital_c, m, delta_x, lambda_bar):
+    # gamma* solves delta_x^2 g^5 = (C m)^2 (g + 2 lambda_bar), the stationarity
+    # condition of h_s, to near machine precision at any scale, and is clipped
+    # to exactly the nearer end of the interval when the root lies beyond it.
+    lo, hi = analysis.GAMMA_STAR_INTERVAL
+    star = gamma_star_stochastic(capital_c, m, delta_x, lambda_bar)
+    assert lo <= star <= hi
+    if capital_c == 0:
+        assert star == lo
+        return
+    if delta_x == 0:
+        assert star == hi
+        return
+    exact = _exact_stochastic_root(capital_c, m, delta_x, lambda_bar, lo, hi)
+    if exact == "lo":
+        assert star == lo
+    elif exact == "hi":
+        assert star == hi
+    else:
+        assert abs(decimal.Decimal(star) - exact) <= decimal.Decimal("1e-12") * exact
 
 
 @pytest.mark.parametrize("lambda_bar", [0.0, -0.5, np.nan, np.inf])
 def test_gamma_star_stochastic_rejects_lambda_bar_outside_positive_reals(lambda_bar):
     with pytest.raises(ValueError, match="lambda_bar must be positive and finite"):
-        gamma_star_stochastic(3, 1.0, 1.0, 1.0, lambda_bar)
+        gamma_star_stochastic(1.0, 1.0, 1.0, lambda_bar)
 
 
 # ----------------------------------------------------------------- gamma_star
 
 def test_gamma_star_dispatches_on_noise_mode():
     consts = ensemble_constants(experiment_ensemble())
-    assert gamma_star("bounded", consts, None, 1.0, 0.5) == gamma_star_bounded(
+    assert gamma_star("bounded", consts, 1.0, 0.5) == gamma_star_bounded(
         consts.c, consts.lambda_bar, 0.5, 1.0
     )
-    assert gamma_star("gaussian", consts, 5, 1.0, 0.5) == gamma_star_stochastic(
-        5, consts.capital_c, consts.m, 1.0, consts.lambda_bar
+    assert gamma_star("gaussian", consts, 1.0, 0.5) == gamma_star_stochastic(
+        consts.capital_c, consts.m, 1.0, consts.lambda_bar
     )
 
 
 def test_gamma_star_rejects_unknown_noise_mode():
     consts = ensemble_constants(experiment_ensemble())
     with pytest.raises(ValueError, match="noise_mode must be 'bounded' or 'gaussian'"):
-        gamma_star("uniform", consts, 5, 1.0, 1.0)
+        gamma_star("uniform", consts, 1.0, 1.0)
     with pytest.raises(ValueError, match="noise_mode must be 'bounded' or 'gaussian'"):
         bound_report(experiment_ensemble(), 5, 0.25, 1.0, 1.0, noise_mode="uniform")
 

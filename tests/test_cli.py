@@ -177,16 +177,21 @@ def test_bounds_without_observability_window_exits_3_and_writes_nothing(tmp_path
     assert sorted(path.name for path in tmp_path.iterdir()) == ["sc.json"]
 
 
-@pytest.mark.parametrize("mode, code", [("gaussian", 3), ("bounded", 0)])
-def test_gamma_star_needs_a_window_only_in_gaussian_mode(tmp_path, capsys, mode, code):
-    # The bounded-noise gamma* does not depend on tau, so no window is sought.
-    cfg = write_json(tmp_path / "sc.json", rank1_uniform_scenario())
-    assert main(["gamma-star", cfg, "--mode", mode]) == code
-    captured = capsys.readouterr()
-    if code:
-        assert "joint full rank" in captured.err and captured.out == ""
-    else:
-        assert float(captured.out) > 0
+@pytest.mark.parametrize("mode", ["gaussian", "bounded"])
+def test_gamma_star_needs_no_window_in_either_mode(tmp_path, capsys, mode):
+    # Neither gamma* depends on tau, so no window is sought.
+    from wlstrack import analysis, io, simulation
+
+    scenario = rank1_uniform_scenario()
+    cfg = write_json(tmp_path / "sc.json", scenario)
+    assert main(["gamma-star", cfg, "--mode", mode]) == 0
+    out = capsys.readouterr().out
+    assert float(out) > 0
+    if mode == "gaussian":
+        sc = io.scenario_from_dict(scenario)
+        consts = analysis.ensemble_constants(simulation.build_ensemble(sc))
+        expected = analysis.gamma_star("gaussian", consts, sc.delta_x, sc.noise.delta_n)
+        assert out == io.format_float(expected) + "\n"
 
 
 def test_bounds_ensemble_never_jointly_full_rank_exits_3_and_writes_nothing(tmp_path, capsys):
@@ -231,14 +236,62 @@ def test_cli_import_does_not_load_scipy():
     assert result.stdout.strip() == "[]"
 
 
-def test_bounds_overflow_exits_3(tmp_path, capsys):
-    # A = 1e103 gives C * m = 1e206, which h_stochastic squares: Python's
-    # float ** raises OverflowError, a documented exit rather than a traceback.
-    path = write_json(tmp_path / "ens.json", {"n_states": 1, "members": [{"A": [[1e103]], "Q": [[1.0]]}]})
+def scalar_bounds(tmp_path, a, q, *gamma_args):
+    """Exit code and report of `bounds` on the one-member ensemble A = [[a]], Q = [[q]]."""
+    path = write_json(tmp_path / "ens.json", {"n_states": 1, "members": [{"A": [[a]], "Q": [[q]]}]})
     out = tmp_path / "b.csv"
-    assert main(["bounds", path, str(out), "--gamma-grid", "0.1", "1", "3", "--tau", "1"]) == 3
-    assert "floating-point overflow" in capsys.readouterr().err
-    assert not out.exists()
+    code = main(["bounds", path, str(out), *gamma_args, "--tau", "1"])
+    report = tmp_path / "b.csv.report.json"
+    return code, json.loads(report.read_text()) if report.exists() else None
+
+
+@pytest.mark.parametrize(
+    "a, gamma_args",
+    [(1e103, ["--gamma-grid", "0.1", "1", "3"]), (1.0, ["--gamma", "1e-90"])],
+    ids=["huge_A", "tiny_gamma"],
+)
+def test_bounds_with_representable_values_exits_0_at_any_scale(tmp_path, a, gamma_args):
+    # C m = 1e206 (huge A) and gamma^4 = 1e-360 (tiny gamma) are not
+    # representable, but no bound forms them, and every report value is finite.
+    code, report = scalar_bounds(tmp_path, a, 1.0, *gamma_args)
+    assert code == 0
+    assert all(np.isfinite(v) for mode in report.values() for v in mode.values())
+    if a == 1e103:
+        assert report["bounded"]["gamma_star"] == 3.162277660168379e154
+        assert report["bounded"]["h_sigma"] == pytest.approx(1e-103, rel=1e-6)
+
+
+def test_bounds_with_overflowing_m_exits_2_and_writes_nothing(tmp_path, capsys):
+    # ||Q^{-1}||_F = 1e300 is representable, but np.linalg.norm's sum of
+    # squares overflows; the stochastic gamma* rejects the infinite m.
+    with np.errstate(over="ignore"):
+        code, report = scalar_bounds(tmp_path, 1.0, 1e-300, "--gamma-grid", "0.1", "1", "3")
+    assert code == 2
+    assert "m must be finite" in capsys.readouterr().err
+    assert report is None and sorted(p.name for p in tmp_path.iterdir()) == ["ens.json"]
+
+
+def test_failed_commands_leave_the_directory_as_it_was(tmp_path):
+    # Every output is written to a temporary file that is renamed only when
+    # the command succeeds, so a failing output path discards the others too.
+    cfg = write_json(tmp_path / "sc.json", minimal_scenario())
+    before = sorted(p.name for p in tmp_path.iterdir())
+    missing = tmp_path / "missing"
+    argv = ["simulate", cfg, str(missing / "out.csv"), "--dump-measurements", str(tmp_path / "m.jsonl")]
+    argv += ["--dump-estimates", str(tmp_path / "e.csv"), "--dump-runs", str(tmp_path / "r.jsonl")]
+    assert main(argv) == 4
+    argv = ["bounds", cfg, str(tmp_path / "b.csv"), "--gamma", "0.5", "--report", str(missing / "r.json")]
+    assert main(argv) == 4
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("seed", [2**64, -1])
+def test_seed_outside_64_bits_exits_2_and_writes_nothing(tmp_path, capsys, seed):
+    # derive_seed would otherwise reduce it modulo 2^64 and run another seed's library.
+    cfg = write_json(tmp_path / "sc.json", minimal_scenario(seed=seed))
+    assert main(["simulate", cfg, str(tmp_path / "out.csv")]) == 2
+    assert "seed must be" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sc.json"]
 
 
 def test_overflow_without_args_exits_3(monkeypatch, capsys):
@@ -358,6 +411,15 @@ def test_gamma_star_prints_value(tmp_path, capsys):
     assert main(["gamma-star", cfg]) == 0
     value = float(capsys.readouterr().out.strip())
     assert value > 0
+
+
+def test_gamma_star_gaussian_prints_the_correctly_rounded_root(tmp_path, capsys):
+    # The benchmark scenario (seed 7): the root of dx^2 g^5 = (C m)^2 (g + 2 lambda_bar)
+    # is 1.3704005063724000900 to 20 digits.
+    config = minimal_scenario(n_states=15, n_meas=3, horizon=200, library_size=10,
+                              gamma=0.25, n_runs=40, seed=7, sequence_policy="window")
+    assert main(["gamma-star", write_json(tmp_path / "sc.json", config), "--mode", "gaussian"]) == 0
+    assert capsys.readouterr().out == "1.3704005063724001\n"
 
 
 def test_gamma_star_gaussian_mode(tmp_path, capsys):
