@@ -34,7 +34,6 @@ import numpy as np
 
 from .estimator import (
     DEFAULT_RANK_TOL,
-    LambdaDecomposition,
     MeasurementBatch,
     _as_float_array,
     _check_gamma,
@@ -334,7 +333,9 @@ def ensemble_constants(ensemble: SystemEnsemble) -> EnsembleConstants:
     lambda_bar: smallest nonzero eigenvalue of A^T Q^{-1} A over members.
     c:          largest spectral norm of A^T Q^{-1}.
     capital_c:  largest ||A^T (x) A^T||_F, which equals ||A||_F^2.
-    m:          largest ||Q^{-1}||_F (the noise covariance is taken as Q).
+    m:          largest ||Q^{-1}||_F (the noise covariance is taken as Q), taken
+                of Q^{-1} scaled by a power of two (exact), so it has the bits of
+                numpy.linalg.norm where that is finite and never overflows needlessly.
 
     Computed once per ensemble instance and memoized on it.
     """
@@ -351,7 +352,8 @@ def _ensemble_constants(ensemble: SystemEnsemble) -> EnsembleConstants:
         q_inv = w.c_inv.T @ w.c_inv
         c = max(c, float(np.linalg.norm(q_inv @ w.A, 2)))  # equals ||A^T Q^{-1}||
         capital_c = max(capital_c, float(np.linalg.norm(w.A) ** 2))
-        m = max(m, float(np.linalg.norm(q_inv)))
+        e = np.frexp(np.abs(q_inv).max())[1]
+        m = max(m, float(np.ldexp(np.linalg.norm(np.ldexp(q_inv, -e)), e)))
     return EnsembleConstants(float(min(lam1)), c, capital_c, m)
 
 
@@ -460,10 +462,11 @@ def gamma_star_bounded(c, lambda_bar, delta_n, delta_x) -> float:
         return float(np.ldexp(np.sqrt(mc * ml * mn / mx * 2**odd), half))
 
 
-def _covariance_step(sigma: np.ndarray, batch: MeasurementBatch, gamma: float):
-    """L and L sigma L^T + K Q K^T for the batch's gain K and step matrix L."""
-    K, lam = _gain(batch._model, gamma), _step_matrix(batch._model, gamma)
-    return lam, lam @ sigma @ lam.T + K @ batch.Q @ K.T
+def _moment_step(X, L, K, R, D):
+    """L (X + D) L^T + K R K^T = E[e' e'^T] for e' = L (e - delta) + K n, E[e e^T] = X,
+    Cov delta = D, Cov n = R, all independent.  Takes one mode (N x N) or a
+    stack of modes (... x N x N); a stack gives each mode's one-mode bits."""
+    return L @ (X + D) @ np.swapaxes(L, -1, -2) + K @ R @ np.swapaxes(K, -1, -2)
 
 
 def propagate_error_moments(
@@ -471,7 +474,7 @@ def propagate_error_moments(
 ) -> ErrorMoments:
     """One step of the exact error mean/covariance recursion.
 
-    With the noise covariance equal to the weighting matrix Q,
+    With the noise covariance equal to the weighting matrix Q and delta deterministic,
 
         mu'    = L (mu - delta)
         sigma' = L sigma L^T + (1/gamma^2) L (A^T Q^{-1} A) L^T = L sigma L^T + K Q K^T,
@@ -487,8 +490,9 @@ def propagate_error_moments(
         raise ValueError(f"A has {batch.n_states} columns, expected {n}")
     if batch.t != moments.t + 1:
         raise ValueError(f"non-sequential step: moments at t={moments.t}, batch has t={batch.t}")
-    lam, sigma = _covariance_step(moments.sigma, batch, gamma)
-    return ErrorMoments(lam @ (moments.mu - delta), 0.5 * (sigma + sigma.T), batch.t)
+    K, lam = _gain(batch._model, gamma), _step_matrix(batch._model, gamma)
+    sigma = _moment_step(moments.sigma, lam, K, batch.Q, 0.0)
+    return ErrorMoments(lam @ (moments.mu - delta), sigma, batch.t)
 
 
 def vectorized_sigma_step(sigma_vec, batch: MeasurementBatch, gamma: float) -> np.ndarray:
@@ -496,22 +500,22 @@ def vectorized_sigma_step(sigma_vec, batch: MeasurementBatch, gamma: float) -> n
 
         sigma' = F sigma + (K (x) K) vec(Q),  F = L (x) L,
 
-    with the estimator's gain K.  The noise term equals (1/gamma^2) F C m,
-    C = A^T (x) A^T, m = vec(Q^{-1}).
+    with the estimator's gain K, under the assumptions of propagate_error_moments.
+    The noise term equals (1/gamma^2) F C m, C = A^T (x) A^T, m = vec(Q^{-1}).
 
     vec() is the row-major flatten; for symmetric Sigma this coincides with
     the column-stacked convention.  For more than KRONECKER_MAX_STATES states
-    the N^2 x N^2 matrices are not materialized and the covariance step of
-    propagate_error_moments is used instead.
+    the N^2 x N^2 matrices are not materialized and the matrix form of
+    propagate_error_moments is taken instead.
     """
     gamma = _check_gamma(gamma)
     v = _as_float_array(sigma_vec, "sigma_vec", 1)
     n = batch.n_states
     if v.shape[0] != n * n:
         raise ValueError(f"sigma_vec has length {v.shape[0]}, expected {n * n}")
-    if n > KRONECKER_MAX_STATES:
-        return _covariance_step(v.reshape(n, n), batch, gamma)[1].reshape(-1)
     K, lam = _gain(batch._model, gamma), _step_matrix(batch._model, gamma)
+    if n > KRONECKER_MAX_STATES:
+        return _moment_step(v.reshape(n, n), lam, K, batch.Q, 0.0).reshape(-1)
     return np.kron(lam, lam) @ v + np.kron(K, K) @ batch.Q.reshape(-1)
 
 
@@ -608,21 +612,13 @@ def contraction_norm(window) -> float:
 
     The window lists matrices in increasing time order; the product applies
     the earliest matrix first, i.e. P = L(t+k-1) ... L(t+1) L(t).
-    Accepts raw matrices or LambdaDecomposition objects.
     """
-    mats = []
-    for entry in window:
-        if isinstance(entry, LambdaDecomposition):
-            entry = entry.lambda_matrix
-        mat = _as_float_array(entry, "window entry", 2)
-        if mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"window entries must be square, got shape {mat.shape}")
-        mats.append(mat)
+    mats = [_as_float_array(entry, "window entry", 2) for entry in window]
     if not mats:
         raise ValueError("window must be nonempty")
     n = mats[0].shape[0]
     if any(m.shape != (n, n) for m in mats):
-        raise ValueError("window entries have mismatched shapes")
+        raise ValueError("window entries must be square and of one shape")
     prod = mats[0]
     for mat in mats[1:]:
         prod = mat @ prod

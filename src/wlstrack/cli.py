@@ -146,7 +146,7 @@ def cmd_bounds(args) -> int:
             gammas = [args.gamma]
         else:
             lo, hi, count = args.gamma_grid
-            if not (0 < lo < hi) or int(count) != count or count < 1:
+            if not (np.isfinite(args.gamma_grid).all() and 0 < lo < hi and int(count) == count >= 1):
                 raise ValueError("--gamma-grid needs 0 < LO < HI and an integer COUNT >= 1")
             gammas = list(np.geomspace(lo, hi, int(count)))
 
@@ -180,7 +180,15 @@ def _replacing(*paths):
     """Text files open for writing beside each of `paths` (an absent output,
     None or empty, yields None).  All are opened before the block runs, moved
     onto their paths when it completes and removed when it raises, so a failed
-    command leaves every path as it was."""
+    command leaves every path as it was.  Two paths that resolve to one file
+    are a ValueError before anything is opened, and an OSError in opening or
+    moving a file names its path, not the temporary file's."""
+    seen = {}
+    for path in filter(None, paths):
+        key = os.path.realpath(path)
+        if key in seen:
+            raise ValueError(f"outputs {seen[key]!r} and {path!r} are the same file")
+        seen[key] = path
     made = []  # (temporary, final) path of every file opened here
     try:
         with contextlib.ExitStack() as stack:
@@ -190,16 +198,27 @@ def _replacing(*paths):
                     files.append(None)
                     continue
                 tmp = f"{path}.{os.getpid()}.tmp"
-                files.append(stack.enter_context(open(tmp, "x", encoding="utf-8")))
+                with _naming(path):
+                    files.append(stack.enter_context(open(tmp, "x", encoding="utf-8")))
                 made.append((tmp, path))
             yield files
         for tmp, path in made:
-            os.replace(tmp, path)
+            with _naming(path):
+                os.replace(tmp, path)
     except BaseException:
         for tmp, _ in made:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
         raise
+
+
+@contextlib.contextmanager
+def _naming(path):
+    """Re-raise an OSError of the block with `path` as its file name."""
+    try:
+        yield
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def cmd_replay(args) -> int:

@@ -163,6 +163,23 @@ def test_constants_experiment_unit_frobenius():
     assert 0 < consts.lambda_bar < consts.c <= 1.0
 
 
+def test_constants_m_is_finite_when_representable():
+    # ||Q^{-1}||_F = 1e300, though the square of a direct sum overflows; a
+    # RuntimeWarning would fail the test.
+    ens = SystemEnsemble(((np.array([[1.0]]), np.array([[1e-300]])),), 1)
+    assert ensemble_constants(ens).m == pytest.approx(1e300, rel=1e-15)
+
+
+@given(st.integers(1, 4), st.floats(-100.0, 100.0), st.integers(0, 2**32 - 1))
+def test_constants_m_has_the_direct_norms_bits(m, log_scale, seed):
+    # Scaling by a power of two is exact, so wherever the direct norm of
+    # Q^{-1} is finite (and nothing underflows) the scaled one has its bits.
+    rng = np.random.default_rng(seed)
+    ens = SystemEnsemble(((rng.standard_normal((m, 3)), random_spd(rng, m) * 10.0**log_scale),), 3)
+    c_inv = ens._models[0].c_inv
+    assert ensemble_constants(ens).m == float(np.linalg.norm(c_inv.T @ c_inv))
+
+
 def test_constants_are_computed_once_per_ensemble(monkeypatch):
     # One whitened SVD per member serves the constants, the step matrices and
     # the gains at every gamma.

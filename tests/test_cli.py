@@ -17,6 +17,12 @@ def write_json(path, payload):
     return str(path)
 
 
+def child_env():
+    """Environment of a child interpreter that imports wlstrack from this checkout."""
+    src = os.path.dirname(os.path.dirname(wlstrack.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def minimal_scenario(**overrides):
     base = {
         "n_states": 2,
@@ -230,9 +236,7 @@ def test_dump_measurements_builds_no_batch_and_keeps_the_batch_format(tmp_path, 
 def test_cli_import_does_not_load_scipy():
     # scipy is the [bench] extra only; importing it would cost every CLI call.
     code = "import sys, wlstrack.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    src = os.path.dirname(os.path.dirname(wlstrack.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=child_env())
     assert result.stdout.strip() == "[]"
 
 
@@ -261,14 +265,13 @@ def test_bounds_with_representable_values_exits_0_at_any_scale(tmp_path, a, gamm
         assert report["bounded"]["h_sigma"] == pytest.approx(1e-103, rel=1e-6)
 
 
-def test_bounds_with_overflowing_m_exits_2_and_writes_nothing(tmp_path, capsys):
-    # ||Q^{-1}||_F = 1e300 is representable, but np.linalg.norm's sum of
-    # squares overflows; the stochastic gamma* rejects the infinite m.
-    with np.errstate(over="ignore"):
-        code, report = scalar_bounds(tmp_path, 1.0, 1e-300, "--gamma-grid", "0.1", "1", "3")
-    assert code == 2
-    assert "m must be finite" in capsys.readouterr().err
-    assert report is None and sorted(p.name for p in tmp_path.iterdir()) == ["ens.json"]
+def test_bounds_with_representable_m_exits_0(tmp_path):
+    # ||Q^{-1}||_F = 1e300 is representable, though a direct sum of squares
+    # overflows; a RuntimeWarning would fail the test.
+    code, report = scalar_bounds(tmp_path, 1.0, 1e-300, "--gamma-grid", "0.1", "1", "3")
+    assert code == 0
+    assert report["gaussian"]["m"] == pytest.approx(1e300, rel=1e-15)
+    assert all(np.isfinite(v) for mode in report.values() for v in mode.values())
 
 
 def test_failed_commands_leave_the_directory_as_it_was(tmp_path):
@@ -283,6 +286,46 @@ def test_failed_commands_leave_the_directory_as_it_was(tmp_path):
     argv = ["bounds", cfg, str(tmp_path / "b.csv"), "--gamma", "0.5", "--report", str(missing / "r.json")]
     assert main(argv) == 4
     assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def test_io_error_names_the_output_not_its_temporary_file(tmp_path):
+    # The temporary file's name holds the process id, so naming it would
+    # make stderr differ from run to run.
+    write_json(tmp_path / "sc.json", minimal_scenario())
+    argv = [sys.executable, "-m", "wlstrack.cli", "sweep", "sc.json", "0.5", "nodir/o.csv"]
+    runs = [subprocess.run(argv, capture_output=True, text=True, cwd=tmp_path, env=child_env()) for _ in range(2)]
+    assert [run.returncode for run in runs] == [4, 4]
+    assert runs[0].stderr == runs[1].stderr
+    assert "'nodir/o.csv'" in runs[0].stderr and ".tmp" not in runs[0].stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sc.json"]
+
+
+@pytest.mark.parametrize(
+    "command, outputs, repeated",
+    [
+        ("simulate", ["o.csv", "--dump-estimates", "same.csv", "--dump-runs", "same.csv"], "same.csv"),
+        ("simulate", ["o.csv", "--dump-measurements", "./o.csv"], "./o.csv"),
+        ("bounds", ["b.csv", "--gamma", "0.5", "--report", "b.csv"], "b.csv"),
+    ],
+    ids=["two_dumps", "dump_and_out", "bounds_report"],
+)
+def test_repeated_output_path_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys, command, outputs, repeated):
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "sc.json", minimal_scenario())
+    assert main([command, "sc.json", *outputs]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: outputs ") and f"{repeated!r} are the same file" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sc.json"]
+
+
+@pytest.mark.parametrize("grid", [["0.1", "1", "inf"], ["0.1", "inf", "3"], ["nan", "1", "3"]])
+def test_non_finite_gamma_grid_exits_2(tmp_path, capsys, grid):
+    # An infinite COUNT must not reach int() (an OverflowError, exit 3), nor
+    # an infinite HI np.geomspace (a RuntimeWarning, which fails the test).
+    cfg = write_json(tmp_path / "sc.json", minimal_scenario())
+    assert main(["bounds", cfg, str(tmp_path / "b.csv"), "--gamma-grid", *grid]) == 2
+    assert capsys.readouterr().err == "error: --gamma-grid needs 0 < LO < HI and an integer COUNT >= 1\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sc.json"]
 
 
 @pytest.mark.parametrize("seed", [2**64, -1])
