@@ -64,11 +64,16 @@ def _tau(sequence, ensemble, advice: str = NO_WINDOW) -> int:
     return tau
 
 
-def _parse_gammas(text: str) -> list[float]:
+def _parse_floats(text: str, what: str) -> list[float]:
+    """The floats of a comma-separated list (empty items skipped); ValueError naming `what` otherwise."""
     try:
-        gammas = [float(part) for part in text.split(",") if part.strip()]
+        return [float(part) for part in text.split(",") if part.strip()]
     except ValueError:
-        raise ValueError(f"could not parse gamma list {text!r}") from None
+        raise ValueError(f"could not parse {what} {text!r}") from None
+
+
+def _parse_gammas(text: str) -> list[float]:
+    gammas = _parse_floats(text, "gamma list")
     if not gammas:
         raise ValueError("gamma list is empty")
     if any(not np.isfinite(g) or g <= 0 for g in gammas):
@@ -123,7 +128,7 @@ def cmd_bounds(args) -> int:
     with _replacing(args.out, report_path) as (out, report_out):
         payload = _load_json(args.input)
         tau = args.tau
-        if isinstance(payload, dict) and "members" in payload:
+        if io.is_ensemble_dict(payload):
             ensemble = io.ensemble_from_dict(payload)
             delta_x = 1.0 if args.delta_x is None else args.delta_x
             delta_n = 1.0 if args.delta_n is None else args.delta_n
@@ -226,11 +231,7 @@ def cmd_replay(args) -> int:
     _check_gamma(args.gamma)
     x0 = None
     if args.x0 is not None:
-        try:
-            x0 = [float(part) for part in args.x0.split(",") if part.strip()]
-        except ValueError:
-            raise ValueError(f"could not parse --x0 {args.x0!r}") from None
-        x0 = _as_float_array(x0, "x0", 1)
+        x0 = _as_float_array(_parse_floats(args.x0, "--x0"), "x0", 1)
     state: EstimatorState | None = None
     config = None
     with open(args.measurements, "r", encoding="utf-8") as src, _replacing(args.out) as (dst,):

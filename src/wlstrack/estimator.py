@@ -129,8 +129,10 @@ def _whitened_svd(A, Q=None, complete: bool = False) -> _Whitened:
 
 
 def _spectral_rank(w: _Whitened) -> int:
-    """Kept directions with sigma_i^2 > DEFAULT_RANK_TOL * sigma_1^2, the ones the spectrum reports."""
-    return int(np.count_nonzero(w.sigma**2 > DEFAULT_RANK_TOL * w.sigma[:1] ** 2))
+    """Kept directions with (sigma_i / sigma_1)^2 > DEFAULT_RANK_TOL, the ones the
+    spectrum reports.  Squaring the ratio, not sigma_i, keeps the test finite
+    where sigma_1^2 overflows."""
+    return int(np.count_nonzero((w.sigma / w.sigma[:1]) ** 2 > DEFAULT_RANK_TOL))
 
 
 def _gain(w: _Whitened, gamma: float) -> np.ndarray:

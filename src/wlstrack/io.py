@@ -7,6 +7,7 @@ round-trips as well.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -32,8 +33,37 @@ __all__ = [
     "scenario_to_dict",
     "scenario_from_dict",
     "ensemble_from_dict",
+    "is_ensemble_dict",
     "write_bound_reports_json",
 ]
+
+
+def _fields(cls) -> dict[str, bool]:
+    """The record fields of dataclass `cls` (its __init__ parameters), each
+    mapped to whether it is required, that is, has no default."""
+    missing = dataclasses.MISSING
+    return {f.name: f.default is missing and f.default_factory is missing for f in dataclasses.fields(cls) if f.init}
+
+
+_BATCH_FIELDS = _fields(MeasurementBatch)
+_SCENARIO_FIELDS = _fields(ScenarioConfig)
+_NOISE_FIELDS = _fields(NoiseModel)
+_ENSEMBLE_FIELDS = _fields(SystemEnsemble)
+_MEMBER_FIELDS = {"A": True, "Q": False}  # an ensemble member has no dataclass of its own
+
+
+def _check_record(d, what: str, fields: dict[str, bool], where: str = ""):
+    """d itself when it is a JSON object with every required field of `fields`
+    and no other field; else a ValueError that names `what` and the field."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object{where}")
+    for name, required in fields.items():
+        if required and name not in d:
+            raise ValueError(f"{what}: missing required field '{name}'{where}")
+    unknown = d.keys() - fields.keys()
+    if unknown:
+        raise ValueError(f"{what}: unknown field(s) {sorted(unknown)}{where}")
+    return d
 
 
 def format_float(x: float) -> str:
@@ -56,17 +86,9 @@ def _batch_record(t: int, y, A, Q, b=None) -> dict:
 def batch_from_dict(d: dict, line_no: int | None = None) -> MeasurementBatch:
     """Build a batch from the JSON-lines record {"t", "y", "A", "Q"?, "b"?}."""
     where = f" on line {line_no}" if line_no is not None else ""
-    if not isinstance(d, dict):
-        raise ValueError(f"batch record must be a JSON object{where}")
-    for field in ("t", "y", "A"):
-        if field not in d:
-            raise ValueError(f"missing required field '{field}'{where}")
-    known = {"t", "y", "A", "Q", "b"}
-    unknown = set(d) - known
-    if unknown:
-        raise ValueError(f"unknown field(s) {sorted(unknown)}{where}")
+    _check_record(d, "batch record", _BATCH_FIELDS, where)
     try:
-        return MeasurementBatch(t=d["t"], y=d["y"], A=d["A"], Q=d.get("Q"), b=d.get("b"))
+        return MeasurementBatch(**d)
     except (ValueError, np.linalg.LinAlgError) as exc:
         raise type(exc)(f"{exc}{where}") from exc
 
@@ -160,84 +182,32 @@ def write_run_results_jsonl(results: Iterable[RunResult], fobj: TextIO) -> None:
         fobj.write("\n")
 
 
-_SCENARIO_REQUIRED = (
-    "n_states",
-    "n_meas",
-    "horizon",
-    "library_size",
-    "delta_x",
-    "noise",
-    "gamma",
-    "n_runs",
-    "seed",
-)
-_SCENARIO_OPTIONAL = ("sequence_policy", "window", "x0", "x_hat0")
-
-
 def scenario_to_dict(scenario: ScenarioConfig) -> dict:
-    d = {
-        "n_states": scenario.n_states,
-        "n_meas": scenario.n_meas,
-        "horizon": scenario.horizon,
-        "library_size": scenario.library_size,
-        "delta_x": scenario.delta_x,
-        "noise": {"kind": scenario.noise.kind, "delta_n": scenario.noise.delta_n},
-        "gamma": scenario.gamma,
-        "n_runs": scenario.n_runs,
-        "seed": scenario.seed,
-        "sequence_policy": scenario.sequence_policy,
-    }
-    if scenario.window is not None:
-        d["window"] = scenario.window
-    if scenario.x0 is not None:
-        d["x0"] = list(scenario.x0)
-    if scenario.x_hat0 is not None:
-        d["x_hat0"] = list(scenario.x_hat0)
-    return d
+    """The scenario's JSON record; optional fields left unset (None) are omitted."""
+    d = dataclasses.asdict(scenario)
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in d.items() if v is not None}
 
 
 def scenario_from_dict(d: dict) -> ScenarioConfig:
-    if not isinstance(d, dict):
-        raise ValueError("scenario must be a JSON object")
-    for field in _SCENARIO_REQUIRED:
-        if field not in d:
-            raise ValueError(f"missing required field '{field}'")
-    unknown = set(d) - set(_SCENARIO_REQUIRED) - set(_SCENARIO_OPTIONAL)
-    if unknown:
-        raise ValueError(f"unknown field(s) {sorted(unknown)}")
-    noise = d["noise"]
-    if not isinstance(noise, dict) or "kind" not in noise or "delta_n" not in noise:
-        raise ValueError("field 'noise' must be an object with 'kind' and 'delta_n'")
-    return ScenarioConfig(
-        n_states=d["n_states"],
-        n_meas=d["n_meas"],
-        horizon=d["horizon"],
-        library_size=d["library_size"],
-        delta_x=d["delta_x"],
-        noise=NoiseModel(kind=noise["kind"], delta_n=noise["delta_n"]),
-        gamma=d["gamma"],
-        n_runs=d["n_runs"],
-        seed=d["seed"],
-        sequence_policy=d.get("sequence_policy", "window"),
-        window=d.get("window"),
-        x0=d.get("x0"),
-        x_hat0=d.get("x_hat0"),
-    )
+    _check_record(d, "scenario", _SCENARIO_FIELDS)
+    noise = _check_record(d["noise"], "noise", _NOISE_FIELDS)
+    return ScenarioConfig(**{**d, "noise": NoiseModel(**noise)})
 
 
 def ensemble_from_dict(d: dict) -> SystemEnsemble:
     """Ensemble from {"n_states": N, "members": [{"A": [[..]], "Q"?: [[..]]}, ..]}."""
-    if not isinstance(d, dict):
-        raise ValueError("ensemble must be a JSON object")
-    for field in ("n_states", "members"):
-        if field not in d:
-            raise ValueError(f"missing required field '{field}'")
+    _check_record(d, "ensemble", _ENSEMBLE_FIELDS)
     members = []
     for i, rec in enumerate(d["members"]):
-        if "A" not in rec:
-            raise ValueError(f"member {i}: missing required field 'A'")
+        _check_record(rec, f"member {i}", _MEMBER_FIELDS)
         members.append((rec["A"], rec.get("Q")))
     return SystemEnsemble(tuple(members), d["n_states"])
+
+
+def is_ensemble_dict(d) -> bool:
+    """Whether a `bounds` input record is an ensemble rather than a scenario:
+    it has "members", or no field that an ensemble lacks."""
+    return isinstance(d, dict) and ("members" in d or d.keys() <= _ENSEMBLE_FIELDS.keys())
 
 
 def write_bound_reports_json(reports: dict[str, BoundReport], fobj: TextIO) -> None:

@@ -30,7 +30,6 @@ for a caller that asks for them (keep_details, track_covariance).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Iterator, Sequence
@@ -38,7 +37,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .analysis import SystemEnsemble
-from .estimator import _advance, _check_gamma, _check_int, initial_state
+from .estimator import _advance, _as_float_array, _check_gamma, _check_int, initial_state
 from .estimator import update  # noqa: F401  (simulation.update, a span slot in perfbench/spans.py)
 
 __all__ = [
@@ -164,12 +163,10 @@ class ScenarioConfig:
         for name in ("x0", "x_hat0"):
             value = getattr(self, name)
             if value is not None:
-                vec = tuple(float(v) for v in value)
+                vec = _as_float_array(value, name, 1)
                 if len(vec) != self.n_states:
                     raise ValueError(f"{name} has length {len(vec)}, expected {self.n_states}")
-                if not all(math.isfinite(v) for v in vec):
-                    raise ValueError(f"{name} contains non-finite entries")
-                object.__setattr__(self, name, vec)
+                object.__setattr__(self, name, tuple(vec.tolist()))
 
     @property
     def effective_window(self) -> int:

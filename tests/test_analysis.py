@@ -134,6 +134,12 @@ def test_psi_rank_zero_member_raises():
         psi(ens, 1.0)
 
 
+def test_smallest_nonzero_eig_near_overflow():
+    # lambda_1 = 1e304 is representable, though sigma_1^2 = 1e310 is not: the
+    # rank test compares squared ratios, so no direction is lost to overflow.
+    assert smallest_nonzero_eig(np.diag([1e155, 1e152])) == pytest.approx(1e304, rel=1e-12)
+
+
 def test_smallest_nonzero_eig_rank_zero():
     with pytest.raises(np.linalg.LinAlgError):
         smallest_nonzero_eig(np.zeros((2, 3)), np.eye(2))

@@ -367,6 +367,23 @@ def test_sweep_rejects_bad_gamma_list(tmp_path, capsys):
     assert "positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep", "sc.json", "0.5,abc", "out.csv"], "could not parse gamma list '0.5,abc'"),
+        (["replay", "meas.jsonl", "out.csv", "--gamma", "1", "--x0", "1,a"], "could not parse --x0 '1,a'"),
+    ],
+    ids=["sweep_gammas", "replay_x0"],
+)
+def test_unparsable_comma_list_exits_2_and_names_it(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "sc.json", minimal_scenario())
+    (tmp_path / "meas.jsonl").write_text("")
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 # -------------------------------------------------------------------- bounds
 
 def test_bounds_trivial_ensemble_value(tmp_path):

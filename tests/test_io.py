@@ -1,5 +1,7 @@
+import dataclasses
 import io as stdio
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,6 +124,18 @@ def test_scenario_missing_field_named():
     d["surprise"] = True
     with pytest.raises(ValueError, match="unknown field"):
         wio.scenario_from_dict(d)
+
+
+def test_readme_scenario_example_loads():
+    # The README's scenario example lists every field of ScenarioConfig and
+    # loads as written, so the documented schema cannot drift from the reader.
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Scenario files", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    record = json.loads(block)
+    assert set(record) == {f.name for f in dataclasses.fields(ScenarioConfig)}
+    sc = wio.scenario_from_dict(record)
+    assert wio.scenario_from_dict(wio.scenario_to_dict(sc)) == sc
 
 
 def test_ensemble_from_dict():

@@ -484,8 +484,11 @@ def test_scenario_validation():
         small_scenario(gamma=0.0)
     with pytest.raises(ValueError):
         small_scenario(sequence_policy="banana")
-    with pytest.raises(ValueError):
-        small_scenario(x0=(1.0,))  # wrong length
+    with pytest.raises(ValueError, match="x0 has length 1, expected 4"):
+        small_scenario(x0=(1.0,))
+    with pytest.raises(ValueError, match="x_hat0 contains non-finite entries"):
+        small_scenario(x_hat0=(0.0, math.nan, 1.0, 2.0))
+    assert small_scenario(x0=np.arange(4)).x0 == (0.0, 1.0, 2.0, 3.0)
     assert small_scenario(window=None).effective_window == 2  # ceil(4/2)
     assert small_scenario(n_states=15, n_meas=3).effective_window == 5
 
