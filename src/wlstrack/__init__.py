@@ -24,8 +24,6 @@ from .analysis import (
     EnsembleConstants,
     ErrorMoments,
     SystemEnsemble,
-    bound_finite_bounded,
-    bound_finite_stochastic,
     bound_report,
     bound_series_bounded,
     contraction_norm,
@@ -35,7 +33,6 @@ from .analysis import (
     gamma_star_stochastic,
     h_bounded,
     h_stochastic,
-    kernel_basis,
     observability_window,
     propagate_error_moments,
     psi,

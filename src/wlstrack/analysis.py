@@ -52,19 +52,16 @@ __all__ = [
     "EnsembleConstants",
     "ErrorMoments",
     "BoundReport",
-    "kernel_basis",
     "smallest_nonzero_eig",
     "observability_window",
     "psi",
     "psi_from_lambda_bar",
     "ensemble_constants",
-    "bound_finite_bounded",
     "bound_series_bounded",
     "h_bounded",
     "gamma_star_bounded",
     "propagate_error_moments",
     "vectorized_sigma_step",
-    "bound_finite_stochastic",
     "h_stochastic",
     "gamma_star_stochastic",
     "gamma_star",
@@ -86,9 +83,9 @@ class SystemEnsemble:
     maxima or minima over this list.
 
     Each member is validated and factored once, at construction (see
-    estimator._whitened_svd), and `members` holds read-only copies of its A
-    and Q, so results derived from them (window ranks, gains,
-    ensemble_constants) are memoized on the instance.
+    estimator._whitened_svd; an error names the member's index), and
+    `members` holds read-only copies of its A and Q, so results derived from
+    them (window ranks, gains, ensemble_constants) are memoized on the instance.
     """
 
     members: tuple
@@ -102,11 +99,12 @@ class SystemEnsemble:
         object.__setattr__(self, "n_states", _check_int(self.n_states, "n_states", 1))
         models = []
         for i, pair in enumerate(self.members):
-            w = _whitened_svd(*pair)
-            if w.A.shape[1] != self.n_states:
-                raise ValueError(
-                    f"member {i}: A has {w.A.shape[1]} columns, expected {self.n_states}"
-                )
+            try:
+                w = _whitened_svd(*pair)
+                if w.A.shape[1] != self.n_states:
+                    raise ValueError(f"A has {w.A.shape[1]} columns, expected {self.n_states}")
+            except (ValueError, np.linalg.LinAlgError) as exc:
+                raise type(exc)(f"member {i}: {exc}") from exc
             models.append(w)
         if not models:
             raise ValueError("ensemble must contain at least one member")
@@ -250,22 +248,6 @@ class ErrorMoments:
         object.__setattr__(self, "t", _check_int(self.t, "t", 0))
 
 
-def kernel_basis(A) -> np.ndarray:
-    """Orthonormal basis (N x K columns) of the numerical kernel of A.
-
-    K = N minus the numerical rank of A; singular values at or below
-    DEFAULT_RANK_TOL times the largest count as zero.  An empty A (no rows)
-    has kernel equal to the whole space.
-    """
-    A = _as_float_array(A, "A", 2)
-    n = A.shape[1]
-    if A.shape[0] == 0:
-        return np.eye(n)
-    _, s, vt = np.linalg.svd(A)
-    rank = int(np.count_nonzero(s > DEFAULT_RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
-    return vt[rank:].T
-
-
 def smallest_nonzero_eig(A, Q=None) -> float:
     """Smallest nonzero eigenvalue lambda_1 of A^T Q^{-1} A: the smallest squared
     singular value of the whitened C^{-1} A (Q = C C^T) above DEFAULT_RANK_TOL
@@ -361,23 +343,6 @@ def _check_tau(tau) -> int:
     return _check_int(tau, "tau", 1)
 
 
-def _check_bound_args(T: int, tau: int, psi_value: float) -> tuple[int, int, float]:
-    T = _check_int(T, "T", 1)
-    psi_value = float(psi_value)
-    if not (0.0 <= psi_value < 1.0):
-        raise ValueError(f"psi must lie in [0, 1), got {psi_value}")
-    return T, _check_tau(tau), psi_value
-
-
-def _per_step_array(per_step, T: int) -> np.ndarray:
-    arr = np.asarray(per_step, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 3:
-        raise ValueError(f"per_step must be a sequence of triples, got shape {arr.shape}")
-    if arr.shape[0] < T:
-        raise ValueError(f"per_step has {arr.shape[0]} entries, need at least {T}")
-    return arr[:T]
-
-
 def _psi_weighted_sums(tau: int, psi_value: float, head: float, g: np.ndarray) -> np.ndarray:
     """psi^floor(T/tau) head + sum_{t=1..T} psi^floor((T+1-t)/tau) g_t for every
     T = 1..len(g): a discrete convolution of g with the stepped powers of psi."""
@@ -386,34 +351,32 @@ def _psi_weighted_sums(tau: int, psi_value: float, head: float, g: np.ndarray) -
     return pw[1:] * float(head) + np.convolve(g, pw[1:])[:T]
 
 
-def _bounded_terms(per_step, T: int, gamma) -> np.ndarray:
-    arr = _per_step_array(per_step, T)
-    return arr[:, 0] + arr[:, 1] * arr[:, 2] / _check_gamma(gamma)
-
-
-def bound_finite_bounded(T, tau, psi_value, xi0_norm, per_step, gamma) -> float:
-    """Worst-case error norm at step T under norm-bounded noise.
+def bound_series_bounded(tau, psi_value, xi0_norm, per_step, gamma) -> np.ndarray:
+    """Finite-horizon error bound at every step T = 1..len(per_step).
 
     per_step holds one (delta_x_t, c_t, delta_n_t) triple per step, where
     delta_x_t bounds the state variation norm, delta_n_t the noise norm and
-    c_t = ||A(t)^T Q_t^{-1}||.  The bound is
+    c_t = ||A(t)^T Q_t^{-1}||.  Entry T - 1 is the worst-case error norm bound
+    under norm-bounded noise,
 
         psi^floor(T/tau) ||xi(0)||
         + sum_{t=1..T} psi^floor((T+1-t)/tau) (delta_x_t + c_t delta_n_t / gamma).
+
+    Under stochastic noise, triples (delta_x_t, 0, 0) give the error mean bound,
+    and (0, C_t m_t, 1/gamma) with ||Sigma(0)||_F as head the covariance bound,
+    whose terms C_t m_t / gamma^2 carry the recursion's 1/gamma^2 (see README).
     """
-    T, tau, psi_value = _check_bound_args(T, tau, psi_value)
-    g = _bounded_terms(per_step, T, gamma)
-    return float(_psi_weighted_sums(tau, psi_value, xi0_norm, g)[T - 1])
-
-
-def bound_series_bounded(tau, psi_value, xi0_norm, per_step, gamma) -> np.ndarray:
-    """bound_finite_bounded evaluated at every T = 1..len(per_step), vectorized."""
-    T = np.asarray(per_step, dtype=float).shape[0]
-    _, tau, psi_value = _check_bound_args(max(T, 1), tau, psi_value)
+    psi_value = float(psi_value)
+    if not (0.0 <= psi_value < 1.0):
+        raise ValueError(f"psi must lie in [0, 1), got {psi_value}")
+    tau = _check_tau(tau)
     gamma = _check_gamma(gamma)
-    if T == 0:
+    arr = np.asarray(per_step, dtype=float)
+    if len(arr) == 0:
         return np.zeros(0)
-    return _psi_weighted_sums(tau, psi_value, xi0_norm, _bounded_terms(per_step, T, gamma))
+    if arr.ndim != 2 or arr.shape[1] != 3:
+        raise ValueError(f"per_step must be a sequence of triples, got shape {arr.shape}")
+    return _psi_weighted_sums(tau, psi_value, xi0_norm, arr[:, 0] + arr[:, 1] * arr[:, 2] / gamma)
 
 
 def h_bounded(gamma, tau, delta_x, c, delta_n, lambda_bar) -> float:
@@ -517,31 +480,6 @@ def vectorized_sigma_step(sigma_vec, batch: MeasurementBatch, gamma: float) -> n
     if n > KRONECKER_MAX_STATES:
         return _moment_step(v.reshape(n, n), lam, K, batch.Q, 0.0).reshape(-1)
     return np.kron(lam, lam) @ v + np.kron(K, K) @ batch.Q.reshape(-1)
-
-
-def bound_finite_stochastic(T, tau, psi_value, xi0_norm, sigma0_frob, per_step, gamma=None):
-    """Bounds on the error mean norm and covariance Frobenius norm at step T.
-
-    per_step holds one (delta_x_t, C_t, m_t) triple per step with
-    C_t = ||A(t)^T (x) A(t)^T||_F and m_t = ||Q_t^{-1}||_F.  Returns
-    (mu_bound, sigma_bound):
-
-        mu_bound    = psi^floor(T/tau) ||xi(0)||
-                      + sum psi^floor((T+1-t)/tau) delta_x_t
-        sigma_bound = psi^floor(T/tau) ||Sigma(0)||_F
-                      + sum psi^floor((T+1-t)/tau) C_t m_t [ / gamma^2 ]
-
-    With gamma=None the covariance sum weighs the noise terms by C_t m_t
-    alone; passing gamma applies the 1/gamma^2 factor that the covariance
-    recursion itself carries (see the README note on the two variants).
-    """
-    T, tau, psi_value = _check_bound_args(T, tau, psi_value)
-    arr = _per_step_array(per_step, T)
-    scale = 1.0 if gamma is None else 1.0 / _check_gamma(gamma) ** 2
-    mu_bound = _psi_weighted_sums(tau, psi_value, xi0_norm, arr[:, 0])[T - 1]
-    noise = scale * arr[:, 1] * arr[:, 2]
-    sigma_bound = _psi_weighted_sums(tau, psi_value, sigma0_frob, noise)[T - 1]
-    return float(mu_bound), float(sigma_bound)
 
 
 def h_stochastic(gamma, tau, capital_c, m, delta_x, lambda_bar) -> float:

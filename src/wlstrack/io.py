@@ -197,6 +197,8 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
 def ensemble_from_dict(d: dict) -> SystemEnsemble:
     """Ensemble from {"n_states": N, "members": [{"A": [[..]], "Q"?: [[..]]}, ..]}."""
     _check_record(d, "ensemble", _ENSEMBLE_FIELDS)
+    if not isinstance(d["members"], list):
+        raise ValueError("ensemble: field 'members' must be a JSON list")
     members = []
     for i, rec in enumerate(d["members"]):
         _check_record(rec, f"member {i}", _MEMBER_FIELDS)

@@ -54,7 +54,6 @@ __all__ = [
     "seed_for_run",
     "run_sequence",
     "simulate_run",
-    "iter_runs",
     "summarize",
     "sweep",
     "monte_carlo",
@@ -507,34 +506,12 @@ def simulate_run(
     sequence, trajectory, noise).  Passing member_sequence pins the sequence,
     e.g. to share one measurement schedule across runs.  The sequence is always
     recorded; keep_details also records states, estimates, increments, noises.
-    This is the lockstep engine of iter_runs with one run, so the result is
-    bit-identical to the same run inside any Monte Carlo ensemble.
+    This is the lockstep engine of sweep and monte_carlo with one run, so the
+    result is bit-identical to the same run inside any Monte Carlo ensemble.
     """
     if ensemble is None:
         ensemble = build_ensemble(scenario)
     return next(_runs(scenario, ensemble, [int(run_seed)], member_sequence, keep_details))
-
-
-def iter_runs(
-    scenario: ScenarioConfig,
-    n_jobs: int = 1,
-    member_sequence: Sequence[int] | None = None,
-    keep_details: bool = False,
-    ensemble: SystemEnsemble | None = None,
-) -> Iterator[RunResult]:
-    """The runs 0 .. scenario.n_runs - 1 of simulate_run, yielded in run order.
-
-    Run i uses seed_for_run(scenario, i).  The library (built from the
-    scenario unless given) is shared by every run, and the runs are stepped
-    together in blocks of BLOCK_RUNS, one block at a time.  n_jobs is
-    validated but no longer changes the execution: the results never
-    depended on it.
-    """
-    _check_int(n_jobs, "n_jobs", 1)
-    if ensemble is None:
-        ensemble = build_ensemble(scenario)
-    seeds = [seed_for_run(scenario, i) for i in range(scenario.n_runs)]
-    yield from _runs(scenario, ensemble, seeds, member_sequence, keep_details)
 
 
 def summarize(norms: Sequence[np.ndarray], xi: Sequence[np.ndarray] | None = None) -> McSummary:

@@ -9,8 +9,6 @@ from wlstrack import analysis
 from wlstrack.analysis import (
     ErrorMoments,
     SystemEnsemble,
-    bound_finite_bounded,
-    bound_finite_stochastic,
     bound_report,
     bound_series_bounded,
     contraction_norm,
@@ -20,14 +18,13 @@ from wlstrack.analysis import (
     gamma_star_stochastic,
     h_bounded,
     h_stochastic,
-    kernel_basis,
     observability_window,
     propagate_error_moments,
     psi,
     smallest_nonzero_eig,
     vectorized_sigma_step,
 )
-from wlstrack.estimator import MeasurementBatch, information_matrix, lambda_matrix
+from wlstrack.estimator import MeasurementBatch, decompose_lambda, information_matrix, lambda_matrix
 from wlstrack.simulation import generate_library
 
 from helpers import (
@@ -45,7 +42,12 @@ def experiment_ensemble(seed=20260808, q_scale=1.0):
     return generate_library(15, 3, 10, seed, q_scale=q_scale)
 
 
-# -------------------------------------------------------------- kernel_basis
+# -------------------------------------------------------------- kernel basis
+
+def kernel_basis(A):
+    """The kernel of A that decompose_lambda reports, with Q = I."""
+    return decompose_lambda(A, None, 1.0).kernel_basis
+
 
 def test_kernel_basis_full_rank_square():
     assert kernel_basis(np.eye(4)).shape == (4, 0)
@@ -324,40 +326,49 @@ def test_round_robin_window_needs_no_svd(monkeypatch):
 
 # -------------------------------------------------------------- finite bounds
 
+def finite_bound(T, tau, psi_value, xi0_norm, per_step, gamma):
+    """The finite-horizon bound at step T: entry T - 1 of bound_series_bounded."""
+    return bound_series_bounded(tau, psi_value, xi0_norm, per_step, gamma)[T - 1]
+
+
 def test_bound_finite_bounded_single_step():
-    assert bound_finite_bounded(1, 1, 0.5, 1.0, [(0.0, 0.0, 0.0)], 1.0) == pytest.approx(0.5)
+    assert finite_bound(1, 1, 0.5, 1.0, [(0.0, 0.0, 0.0)], 1.0) == pytest.approx(0.5)
 
 
 def test_bound_finite_bounded_zero_inputs():
     per = [(0.0, 0.0, 0.0)] * 7
     for T in range(1, 8):
-        assert bound_finite_bounded(T, 2, 0.5, 0.0, per, 1.0) == 0.0
+        assert finite_bound(T, 2, 0.5, 0.0, per, 1.0) == 0.0
 
 
 def test_bound_finite_bounded_hand_computed():
     # T=3, tau=2, psi=0.5, xi0=1, each step contributes 2:
     # 0.5*1 + (0.5*2 + 0.5*2 + 1*2) = 4.5
     per = [(1.0, 1.0, 1.0)] * 3
-    assert bound_finite_bounded(3, 2, 0.5, 1.0, per, 1.0) == pytest.approx(4.5)
+    assert finite_bound(3, 2, 0.5, 1.0, per, 1.0) == pytest.approx(4.5)
 
 
 def test_bound_series_matches_per_step_calls():
+    # Oracle: the documented sum, written out as a plain double loop.
     rng = np.random.default_rng(2)
     per = rng.uniform(0.0, 2.0, size=(12, 3))
-    series = bound_series_bounded(3, 0.7, 1.3, per, 0.6)
+    tau, psi_v, xi0, gamma = 3, 0.7, 1.3, 0.6
+    series = bound_series_bounded(tau, psi_v, xi0, per, gamma)
+    assert series.shape == (12,)
     for T in range(1, 13):
-        assert series[T - 1] == pytest.approx(
-            bound_finite_bounded(T, 3, 0.7, 1.3, per, 0.6), rel=1e-12
-        )
+        expected = psi_v ** (T // tau) * xi0
+        for t in range(1, T + 1):
+            dx, c, dn = (float(v) for v in per[t - 1])
+            expected += psi_v ** ((T + 1 - t) // tau) * (dx + c * dn / gamma)
+        assert series[T - 1] == pytest.approx(expected, rel=1e-12)
 
 
 def test_bound_finite_bounded_validation():
     with pytest.raises(ValueError):
-        bound_finite_bounded(0, 1, 0.5, 0.0, [], 1.0)
+        bound_series_bounded(1, 1.0, 0.0, [(0, 0, 0)], 1.0)  # psi must be < 1
     with pytest.raises(ValueError):
-        bound_finite_bounded(1, 1, 1.0, 0.0, [(0, 0, 0)], 1.0)  # psi must be < 1
-    with pytest.raises(ValueError):
-        bound_finite_bounded(2, 1, 0.5, 0.0, [(0, 0, 0)], 1.0)  # per_step too short
+        bound_series_bounded(1, 0.5, 0.0, [(0, 0)], 1.0)  # per_step entries must be triples
+    assert bound_series_bounded(1, 0.5, 0.0, [], 1.0).shape == (0,)
 
 
 # ------------------------------------------------------------------ h_bounded
@@ -535,30 +546,33 @@ def test_vectorized_large_n_avoids_kron_and_agrees():
 
 
 # ------------------------------------------------------- stochastic bounds
+# The mean bound sums (delta_x_t, 0, 0) triples; the covariance bound sums
+# (0, C_t m_t, 1/gamma) triples, whose noise terms are C_t m_t / gamma^2.
 
 def test_bound_finite_stochastic_zero_case():
     per = [(0.0, 0.0, 0.0)] * 5
-    mu_b, sig_b = bound_finite_stochastic(5, 2, 0.5, 0.0, 0.0, per)
+    mu_b = finite_bound(5, 2, 0.5, 0.0, per, 1.0)
+    sig_b = finite_bound(5, 2, 0.5, 0.0, [(0.0, 0.0, 1.0)] * 5, 1.0)
     assert mu_b == 0.0 and sig_b == 0.0
 
 
 def test_bound_finite_stochastic_initial_terms():
-    per = [(0.0, 0.0, 0.0)]
-    mu_b, sig_b = bound_finite_stochastic(1, 1, 0.5, 0.0, 1.0, per)
+    mu_b = finite_bound(1, 1, 0.5, 0.0, [(0.0, 0.0, 0.0)], 1.0)
+    sig_b = finite_bound(1, 1, 0.5, 1.0, [(0.0, 0.0, 1.0)], 1.0)
     assert sig_b == pytest.approx(0.5)
     assert mu_b == 0.0
 
 
 def test_bound_finite_stochastic_hand_computed():
     per = [(1.0, 0.0, 0.0)] * 3
-    mu_b, _ = bound_finite_stochastic(3, 2, 0.5, 1.0, 0.0, per)
+    mu_b = finite_bound(3, 2, 0.5, 1.0, per, 1.0)
     assert mu_b == pytest.approx(2.5)  # 0.5*1 + (0.5 + 0.5 + 1)
 
 
 def test_bound_finite_stochastic_gamma_scaling():
-    per = [(0.0, 2.0, 3.0)] * 4
-    _, plain = bound_finite_stochastic(4, 2, 0.5, 0.0, 0.0, per)
-    _, scaled = bound_finite_stochastic(4, 2, 0.5, 0.0, 0.0, per, gamma=2.0)
+    gamma = 2.0
+    plain = finite_bound(4, 2, 0.5, 0.0, [(0.0, 2.0 * 3.0, 1.0)] * 4, 1.0)
+    scaled = finite_bound(4, 2, 0.5, 0.0, [(0.0, 2.0 * 3.0, 1.0 / gamma)] * 4, gamma)
     assert scaled == pytest.approx(plain / 4.0)
 
 
@@ -570,18 +584,16 @@ def test_covariance_bound_variants_against_exact_propagation():
     gamma, a, q = 0.01, 0.1, 1.0
     lam_eig = gamma / (gamma + a * a / q)
     psi_v = lam_eig  # tau = 1: the single member is full rank
-    batch = MeasurementBatch(1, [0.0], [[a]], [[q]])
-    per = [(0.0, a * a, 1.0 / q)] * 40
+    plain = bound_series_bounded(1, psi_v, 0.0, [(0.0, a * a / q, 1.0)] * 40, 1.0)
+    corrected = bound_series_bounded(1, psi_v, 0.0, [(0.0, a * a / q, 1.0 / gamma)] * 40, gamma)
     mom = ErrorMoments(np.zeros(1), np.zeros((1, 1)), 0)
     plain_violated = False
     for t in range(1, 41):
         batch = MeasurementBatch(t, [0.0], [[a]], [[q]])
         mom = propagate_error_moments(mom, batch, np.zeros(1), gamma)
         fro = float(np.linalg.norm(mom.sigma))
-        _, plain = bound_finite_stochastic(t, 1, psi_v, 0.0, 0.0, per)
-        _, corrected = bound_finite_stochastic(t, 1, psi_v, 0.0, 0.0, per, gamma=gamma)
-        assert fro <= corrected * (1 + 1e-9)
-        plain_violated = plain_violated or fro > plain
+        assert fro <= corrected[t - 1] * (1 + 1e-9)
+        plain_violated = plain_violated or fro > plain[t - 1]
     assert plain_violated
 
 

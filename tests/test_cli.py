@@ -222,7 +222,7 @@ def test_dump_measurements_builds_no_batch_and_keeps_the_batch_format(tmp_path, 
 
     scenario = io.scenario_from_dict(json.loads(path.read_text()))
     ensemble = simulation.build_ensemble(scenario)
-    run0 = next(simulation.iter_runs(scenario, keep_details=True, ensemble=ensemble))
+    run0 = simulation.simulate_run(scenario, simulation.seed_for_run(scenario, 0), ensemble, keep_details=True)
     batches = []
     for t, index in enumerate(run0.member_indices, start=1):
         A, Q = ensemble.members[index]

@@ -120,3 +120,29 @@ def test_unknown_field_exits_2(tmp_path, monkeypatch, capsys, kind):
     assert f"unknown field(s) ['{unknown}']" in err
     assert name in err
     assert left == []
+
+
+@pytest.mark.parametrize("members", [5, {"A": [[1.0, 0.0]]}, "ab"], ids=["number", "object", "string"])
+def test_members_that_is_not_a_list_exits_2(tmp_path, monkeypatch, capsys, members):
+    code, err, left = run(tmp_path, monkeypatch, capsys, *ensemble_input({**ENSEMBLE, "members": members}))
+    assert code == 2
+    assert "ensemble: field 'members' must be a JSON list" in err
+    assert left == []
+
+
+# member 1's fields: exit code and the message that names the member
+BAD_MEMBERS = {
+    "Q shape": ({"A": [[0.0, 1.0]], "Q": [[1.0, 0.0], [0.0, 1.0]]}, 2, "member 1: Q has shape (2, 2), expected (1, 1)"),
+    "A 1-D": ({"A": [0.0, 1.0]}, 2, "member 1: A must be 2-dimensional"),
+    "Q indefinite": ({"A": [[0.0, 1.0]], "Q": [[-1.0]]}, 3, "member 1: Q is not positive definite"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_MEMBERS)
+def test_member_value_error_names_the_member(tmp_path, monkeypatch, capsys, case):
+    member, exit_code, message = BAD_MEMBERS[case]
+    record = {**ENSEMBLE, "members": [ENSEMBLE["members"][0], member]}
+    code, err, left = run(tmp_path, monkeypatch, capsys, *ensemble_input(record))
+    assert code == exit_code
+    assert message in err
+    assert left == []

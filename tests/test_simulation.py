@@ -17,7 +17,6 @@ from wlstrack.simulation import (
     generate_noise,
     generate_sequence,
     generate_trajectory,
-    iter_runs,
     monte_carlo,
     seed_for_run,
     simulate_run,
@@ -500,6 +499,14 @@ def test_track_covariance_needs_two_runs():
 
 # ----------------------------------------------------------------- lockstep engine
 
+def block_runs(sc, ensemble=None, keep_details=False):
+    """Runs 0 .. n_runs - 1 of sc, stepped together through the lockstep
+    engine as cmd_simulate steps them."""
+    ensemble = build_ensemble(sc) if ensemble is None else ensemble
+    seeds = [seed_for_run(sc, i) for i in range(sc.n_runs)]
+    return list(simulation._runs(sc, ensemble, seeds, keep_details=keep_details))
+
+
 def update_fold(sc, ensemble, run):
     """Estimates of one recorded run, refolded through estimator.update."""
     batches = []
@@ -514,7 +521,7 @@ def update_fold(sc, ensemble, run):
 def test_lockstep_runs_equal_update_fold_bitwise(gamma):
     sc = small_scenario(n_runs=7, horizon=25, gamma=gamma, x_hat0=(0.1, -0.2, 0.3, 0.0))
     ens = build_ensemble(sc)
-    runs = list(iter_runs(sc, keep_details=True))
+    runs = block_runs(sc, ens, keep_details=True)
     assert len(runs) == 7
     for run in runs:
         estimates = update_fold(sc, ens, run)
@@ -533,9 +540,9 @@ def assert_runs_equal(a, b):
 
 def test_lockstep_runs_do_not_depend_on_block_size(monkeypatch):
     sc = small_scenario(n_runs=7)
-    reference = list(iter_runs(sc, keep_details=True))
+    reference = block_runs(sc, keep_details=True)
     monkeypatch.setattr(simulation, "BLOCK_RUNS", 3)
-    blocked = list(iter_runs(sc, keep_details=True))
+    blocked = block_runs(sc, keep_details=True)
     assert len(blocked) == 7
     for a, b in zip(reference, blocked):
         assert_runs_equal(a, b)
@@ -550,8 +557,8 @@ def test_final_estimate_is_the_estimate_at_the_horizon(horizon, keep_details):
     # estimate must still be x_hat(T) for odd and even T.
     sc = small_scenario(horizon=horizon, n_runs=5)
     ens = build_ensemble(sc)
-    detailed = list(iter_runs(sc, keep_details=True))
-    runs = list(iter_runs(sc, keep_details=keep_details))
+    detailed = block_runs(sc, ens, keep_details=True)
+    runs = block_runs(sc, ens, keep_details=keep_details)
     for run, reference in zip(runs, detailed):
         estimates = update_fold(sc, ens, reference)
         assert np.array_equal(run.final_estimate, estimates[-1])
@@ -578,8 +585,8 @@ def test_sweep_does_not_depend_on_block_size(monkeypatch, track_covariance):
 
 
 def test_lockstep_earlier_runs_do_not_change_when_n_runs_grows():
-    few = list(iter_runs(small_scenario(n_runs=3), keep_details=True))
-    many = list(iter_runs(small_scenario(n_runs=simulation.BLOCK_RUNS + 5), keep_details=True))
+    few = block_runs(small_scenario(n_runs=3), keep_details=True)
+    many = block_runs(small_scenario(n_runs=simulation.BLOCK_RUNS + 5), keep_details=True)
     for a, b in zip(few, many):
         assert_runs_equal(a, b)
 
@@ -617,14 +624,12 @@ def test_jobs_must_be_a_positive_integer():
     for bad in (0, -1, 1.5):
         with pytest.raises(ValueError, match="n_jobs"):
             monte_carlo(sc, n_jobs=bad)
-        with pytest.raises(ValueError, match="n_jobs"):
-            next(iter_runs(sc, n_jobs=bad))
 
 
 def test_run_sequence_is_the_sequence_each_run_uses():
     sc = small_scenario(n_runs=5)
     ens = build_ensemble(sc)
-    for i, run in enumerate(iter_runs(sc, ensemble=ens)):
+    for i, run in enumerate(block_runs(sc, ens)):
         assert np.array_equal(simulation.run_sequence(sc, ens, seed_for_run(sc, i)), run.member_indices)
 
 
