@@ -9,15 +9,17 @@ with L(t) the step matrix from :mod:`wlstrack.estimator`, delta(t) the true
 state variation and n(t) the measurement noise.  A single L(t) is only
 non-expansive, but once every window of ``tau`` consecutive measurement
 matrices jointly observes the whole state (their kernels intersect only at
-the origin), the product of any ``tau`` consecutive step matrices contracts
-by a factor
+the origin), the product of any ``tau`` consecutive step matrices is
+strictly contractive.  The paper's per-member factor
 
     psi = max_t gamma / (gamma + lambda_1(t)) < 1,
 
-where lambda_1(t) is the smallest nonzero eigenvalue of A(t)^T Q_t^{-1} A(t).
-From this follow worst-case error bounds for bounded noise, mean/covariance
-bounds for zero-mean stochastic noise, and a tuning rule for the inertia
-weight gamma.
+where lambda_1(t) is the smallest nonzero eigenvalue of A(t)^T Q_t^{-1} A(t),
+bounds such a product only where consecutive members' kernels do not overlap
+(README "Known acceptance-check failures": criteria 2a, 2b and verify's
+mean_bound_validity).  From psi follow the paper's worst-case error bounds
+for bounded noise, mean/covariance bounds for zero-mean stochastic noise,
+and a tuning rule for the inertia weight gamma.
 
 Suprema over time reduce to maxima over the finite ensemble of (A, Q) pairs
 the time-varying sequence is drawn from.
@@ -296,10 +298,11 @@ def observability_window(sequence: Sequence[int], ensemble: SystemEnsemble):
 def psi(ensemble: SystemEnsemble, gamma: float) -> float:
     """Worst-case factor max_i gamma / (gamma + lambda_1_i) over the ensemble.
 
-    This is the contraction rate of any fully-observing window of step
-    matrices; it is strictly below 1 whenever every member has at least one
-    nonzero eigenvalue.  The factor is monotone in lambda_1_i under rounding,
-    so this equals psi_from_lambda_bar(gamma, lambda_bar) bit for bit.
+    The paper's per-member factor, strictly below 1 whenever every member has
+    a nonzero eigenvalue.  It bounds a fully-observing window of step matrices
+    only where consecutive members' kernels do not overlap (module docstring).
+    The factor is monotone in lambda_1_i under rounding, so this equals
+    psi_from_lambda_bar(gamma, lambda_bar) bit for bit.
     """
     return psi_from_lambda_bar(_check_gamma(gamma), ensemble_constants(ensemble).lambda_bar)
 

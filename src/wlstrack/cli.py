@@ -83,7 +83,7 @@ def _parse_gammas(text: str) -> list[float]:
 
 def cmd_simulate(args) -> int:
     paths = (args.out, args.dump_measurements, args.dump_estimates, args.dump_runs)
-    with _replacing(*paths) as (out, meas_out, est_out, runs_out):
+    with _replacing(*paths, source=args.config) as (out, meas_out, est_out, runs_out):
         scenario = _load_scenario(args.config)
         _check_int(args.jobs, "n_jobs", 1)
         ensemble = simulation.build_ensemble(scenario)
@@ -110,22 +110,28 @@ def cmd_simulate(args) -> int:
             norms.append(run.per_step_error)
             if runs_out:
                 io.write_run_results_jsonl([run], runs_out)
-        io.write_mc_summary_csv(simulation.summarize(norms), out)
+        summary = simulation.summarize(norms)
+        steps = range(1, scenario.horizon + 1)
+        io.write_table(out, ["t", "mean_error", "rms_error"], [steps, summary.mean_error, summary.rms_error])
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    with _replacing(args.out) as (out,):
+    with _replacing(args.out, source=args.config) as (out,):
         scenario = _load_scenario(args.config)
         gammas = _parse_gammas(args.gammas)
         summaries = simulation.sweep(scenario, gammas, n_jobs=args.jobs)
-        io.write_sweep_csv(gammas, summaries, out, use_rms=scenario.noise.kind == "gaussian")
+        # A gamma is named in 6 significant digits where they read back as it, else by its repr.
+        header = ["t"] + [f"err_gamma_{g:g}" if float(f"{g:g}") == g else f"err_gamma_{g!r}" for g in gammas]
+        gaussian = scenario.noise.kind == "gaussian"  # RMS error for Gaussian noise, else mean error
+        columns = [s.rms_error if gaussian else s.mean_error for s in summaries]
+        io.write_table(out, header, [range(1, scenario.horizon + 1), *columns])
     return EXIT_OK
 
 
 def cmd_bounds(args) -> int:
     report_path = args.report if args.report else args.out + ".report.json"
-    with _replacing(args.out, report_path) as (out, report_out):
+    with _replacing(args.out, report_path, source=args.input) as (out, report_out):
         payload = _load_json(args.input)
         tau = args.tau
         if io.is_ensemble_dict(payload):
@@ -165,7 +171,7 @@ def cmd_bounds(args) -> int:
             # else gammas[0] when gamma* is 0.
             gamma = args.gamma or analysis.gamma_star(mode, consts, delta_x, delta_n) or gammas[0]
             reports[mode] = analysis.bound_report(ensemble, tau, gamma, delta_x, delta_n, mode)
-        io.write_bounds_csv(gammas, h_b, h_s, out)
+        io.write_table(out, ["gamma", "h_b", "h_s"], [gammas, h_b, h_s])
         io.write_bound_reports_json(reports, report_out)
     print(f"# report written to {report_path}", file=sys.stderr)
     return EXIT_OK
@@ -181,19 +187,22 @@ def cmd_gamma_star(args) -> int:
 
 
 @contextlib.contextmanager
-def _replacing(*paths):
+def _replacing(*paths, source=None):
     """Text files open for writing beside each of `paths` (an absent output,
     None or empty, yields None).  All are opened before the block runs, moved
     onto their paths when it completes and removed when it raises, so a failed
-    command leaves every path as it was.  Two paths that resolve to one file
-    are a ValueError before anything is opened, and an OSError in opening or
-    moving a file names its path, not the temporary file's."""
+    command leaves every path as it was.  Two paths that resolve to one file,
+    or a path that resolves to the command's input file `source`, are a
+    ValueError before anything is opened, and an OSError in opening or moving
+    a file names its path, not the temporary file's."""
     seen = {}
     for path in filter(None, paths):
         key = os.path.realpath(path)
         if key in seen:
             raise ValueError(f"outputs {seen[key]!r} and {path!r} are the same file")
         seen[key] = path
+    if source and os.path.realpath(source) in seen:
+        raise ValueError(f"output {seen[os.path.realpath(source)]!r} is the input {source!r}")
     made = []  # (temporary, final) path of every file opened here
     try:
         with contextlib.ExitStack() as stack:
@@ -234,7 +243,7 @@ def cmd_replay(args) -> int:
         x0 = _as_float_array(_parse_floats(args.x0, "--x0"), "x0", 1)
     state: EstimatorState | None = None
     config = None
-    with open(args.measurements, "r", encoding="utf-8") as src, _replacing(args.out) as (dst,):
+    with _replacing(args.out, source=args.measurements) as (dst,), open(args.measurements, encoding="utf-8") as src:
         for batch in io.iter_batches_jsonl(src):
             if state is None:
                 n = batch.n_states

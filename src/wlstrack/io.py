@@ -1,5 +1,7 @@
-"""File formats: measurement JSON-lines, estimate/summary CSV, scenario JSON.
+"""File formats: measurement JSON-lines, estimate and table CSV, scenario JSON.
 
+Each output record has one writer here; the commands that write a whole
+table declare its header and columns, and write_table owns the encoding.
 All CSV floats are written with 17 significant digits so every float64
 round-trips exactly; JSON uses Python's shortest-repr float encoding, which
 round-trips as well.
@@ -15,22 +17,17 @@ import numpy as np
 
 from .analysis import BoundReport, SystemEnsemble
 from .estimator import MeasurementBatch
-from .simulation import McSummary, NoiseModel, RunResult, ScenarioConfig
+from .simulation import NoiseModel, RunResult, ScenarioConfig
 
 __all__ = [
     "format_float",
-    "batch_to_dict",
     "batch_from_dict",
     "iter_batches_jsonl",
-    "write_batches_jsonl",
     "write_run_measurements_jsonl",
     "write_estimates_header",
     "write_estimates_row",
-    "write_mc_summary_csv",
-    "write_sweep_csv",
-    "write_bounds_csv",
+    "write_table",
     "write_run_results_jsonl",
-    "scenario_to_dict",
     "scenario_from_dict",
     "ensemble_from_dict",
     "is_ensemble_dict",
@@ -71,18 +68,6 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def batch_to_dict(batch: MeasurementBatch) -> dict:
-    return _batch_record(batch.t, batch.y, batch.A, batch.Q, batch.b)
-
-
-def _batch_record(t: int, y, A, Q, b=None) -> dict:
-    """The JSON-lines record {"t", "y", "A", "Q", "b"?} of one measurement batch."""
-    d = {"t": t, "y": y.tolist(), "A": A.tolist(), "Q": Q.tolist()}
-    if b is not None:
-        d["b"] = b.tolist()
-    return d
-
-
 def batch_from_dict(d: dict, line_no: int | None = None) -> MeasurementBatch:
     """Build a batch from the JSON-lines record {"t", "y", "A", "Q"?, "b"?}."""
     where = f" on line {line_no}" if line_no is not None else ""
@@ -109,18 +94,13 @@ def iter_batches_jsonl(lines: Iterable[str]) -> Iterator[MeasurementBatch]:
         yield batch_from_dict(record, line_no=line_no)
 
 
-def write_batches_jsonl(batches: Iterable[MeasurementBatch], fobj: TextIO) -> None:
-    for batch in batches:
-        fobj.write(json.dumps(batch_to_dict(batch)))
-        fobj.write("\n")
-
-
 def write_run_measurements_jsonl(run: RunResult, ensemble: SystemEnsemble, fobj: TextIO) -> None:
-    """A run's batches y(t) = A(t) x(t) + n(t) (it must keep its details) in the
-    format of write_batches_jsonl, from the ensemble's already validated members."""
-    for t, index in enumerate(run.member_indices, start=1):
+    """A run's batch records {"t", "y", "A", "Q"}, one JSON line per step: the
+    measurements the estimator stepped on (the run must keep its details), with
+    the ensemble's already validated members."""
+    for t, (y, index) in enumerate(zip(run.measurements.tolist(), run.member_indices), start=1):
         A, Q = ensemble.members[index]
-        fobj.write(json.dumps(_batch_record(t, A @ run.states[t] + run.noises[t - 1], A, Q)))
+        fobj.write(json.dumps({"t": t, "y": y, "A": A.tolist(), "Q": Q.tolist()}))
         fobj.write("\n")
 
 
@@ -137,33 +117,14 @@ def write_estimates_row(fobj: TextIO, t: int, x_hat: np.ndarray) -> None:
     fobj.write(("%d" + ",%.17g" * len(values) + "\n") % (t, *values))
 
 
-def write_mc_summary_csv(summary: McSummary, fobj: TextIO) -> None:
-    fobj.write("t,mean_error,rms_error\n")
-    for t in range(len(summary.mean_error)):
-        fobj.write(
-            f"{t + 1},{format_float(summary.mean_error[t])},{format_float(summary.rms_error[t])}\n"
-        )
-
-
-def write_sweep_csv(gammas: Sequence[float], summaries: Sequence[McSummary], fobj: TextIO, use_rms: bool = False) -> None:
-    """Wide per-step error table, one column per gamma."""
-    header = ["t"] + [f"err_gamma_{g:g}" for g in gammas]
-    fobj.write(",".join(header))
-    fobj.write("\n")
-    horizon = len(summaries[0].mean_error)
-    for t in range(horizon):
-        row = [str(t + 1)]
-        for summ in summaries:
-            series = summ.rms_error if use_rms else summ.mean_error
-            row.append(format_float(series[t]))
-        fobj.write(",".join(row))
-        fobj.write("\n")
-
-
-def write_bounds_csv(gammas: Sequence[float], h_b: Sequence[float], h_s: Sequence[float], fobj: TextIO) -> None:
-    fobj.write("gamma,h_b,h_s\n")
-    for g, hb, hs in zip(gammas, h_b, h_s):
-        fobj.write(f"{format_float(g)},{format_float(hb)},{format_float(hs)}\n")
+def write_table(fobj: TextIO, header: Sequence[str], columns: Sequence[Iterable[float]]) -> None:
+    """A CSV with the given column names and one row per entry of the equally
+    long columns; every value is written as format_float writes it (so an
+    integer t column reads 1, 2, ...)."""
+    fobj.write(",".join(header) + "\n")
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    for values in zip(*(np.asarray(c, dtype=float).tolist() for c in columns), strict=True):
+        fobj.write(row % values)
 
 
 def write_run_results_jsonl(results: Iterable[RunResult], fobj: TextIO) -> None:
@@ -180,12 +141,6 @@ def write_run_results_jsonl(results: Iterable[RunResult], fobj: TextIO) -> None:
             )
         )
         fobj.write("\n")
-
-
-def scenario_to_dict(scenario: ScenarioConfig) -> dict:
-    """The scenario's JSON record; optional fields left unset (None) are omitted."""
-    d = dataclasses.asdict(scenario)
-    return {k: list(v) if isinstance(v, tuple) else v for k, v in d.items() if v is not None}
 
 
 def scenario_from_dict(d: dict) -> ScenarioConfig:

@@ -191,6 +191,7 @@ class RunResult:
     estimates: np.ndarray | None = None
     deltas: np.ndarray | None = None
     noises: np.ndarray | None = None
+    measurements: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -490,6 +491,7 @@ def _runs(sc: ScenarioConfig, ensemble, seeds, member_sequence=None, keep_detail
                 estimates=trajectory[0, r].copy() if keep_details else None,
                 deltas=block.deltas[r].copy() if keep_details else None,
                 noises=block.noises[r].copy() if keep_details else None,
+                measurements=block.measurements[r].copy() if keep_details else None,
             )
 
 
@@ -505,7 +507,8 @@ def simulate_run(
     The run derives three independent sub-streams from run_seed (member
     sequence, trajectory, noise).  Passing member_sequence pins the sequence,
     e.g. to share one measurement schedule across runs.  The sequence is always
-    recorded; keep_details also records states, estimates, increments, noises.
+    recorded; keep_details also records states, estimates, increments, noises
+    and the measurements the estimator stepped on.
     This is the lockstep engine of sweep and monte_carlo with one run, so the
     result is bit-identical to the same run inside any Monte Carlo ensemble.
     """
@@ -571,7 +574,7 @@ def monte_carlo(
     track_covariance: bool = False,
     member_sequence: Sequence[int] | None = None,
 ) -> McSummary:
-    """Aggregate simulate_run over scenario.n_runs independent runs.
+    """Per-step error summary of scenario.n_runs runs at scenario.gamma: a one-gamma sweep.
 
     Run i uses derive_seed(scenario.seed, 1 + i), so the summary is identical
     for identical scenarios, and growing n_runs preserves the earlier runs.

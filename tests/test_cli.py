@@ -1,13 +1,16 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import wlstrack
-from wlstrack.cli import main
+from wlstrack.cli import build_parser, main
 
 from helpers import count_calls, rel_err
 
@@ -210,12 +213,13 @@ def test_bounds_ensemble_never_jointly_full_rank_exits_3_and_writes_nothing(tmp_
 
 def test_dump_measurements_builds_no_batch_and_keeps_the_batch_format(tmp_path, monkeypatch):
     # The library members were validated once, so run 0's batches are written
-    # without building (and re-validating) a MeasurementBatch per step.
+    # without building (and re-validating) a MeasurementBatch per step, and
+    # each y is the measurement the run stepped on.
     from wlstrack import estimator, io, simulation
 
     calls = count_calls(monkeypatch, estimator.MeasurementBatch, "__post_init__")
     path = tmp_path / "sc.json"
-    cfg = write_json(path, minimal_scenario(n_runs=2, horizon=6))
+    cfg = write_json(path, minimal_scenario(n_states=3, n_meas=2, n_runs=2, horizon=6))
     meas = tmp_path / "meas.jsonl"
     assert main(["simulate", cfg, str(tmp_path / "mc.csv"), "--dump-measurements", str(meas)]) == 0
     assert calls == []
@@ -223,14 +227,15 @@ def test_dump_measurements_builds_no_batch_and_keeps_the_batch_format(tmp_path, 
     scenario = io.scenario_from_dict(json.loads(path.read_text()))
     ensemble = simulation.build_ensemble(scenario)
     run0 = simulation.simulate_run(scenario, simulation.seed_for_run(scenario, 0), ensemble, keep_details=True)
-    batches = []
-    for t, index in enumerate(run0.member_indices, start=1):
+    records = [json.loads(line) for line in meas.read_text().splitlines()]
+    assert [record["t"] for record in records] == list(range(1, scenario.horizon + 1))
+    for t, (record, index) in enumerate(zip(records, run0.member_indices, strict=True), start=1):
         A, Q = ensemble.members[index]
-        batches.append(estimator.MeasurementBatch(t, A @ run0.states[t] + run0.noises[t - 1], A, Q))
-    expected = tmp_path / "expected.jsonl"
-    with open(expected, "w", encoding="utf-8") as fobj:
-        io.write_batches_jsonl(batches, fobj)
-    assert meas.read_bytes() == expected.read_bytes()
+        assert list(record) == ["t", "y", "A", "Q"]
+        assert np.array_equal(record["A"], A) and np.array_equal(record["Q"], Q)
+        assert np.array_equal(record["y"], run0.measurements[t - 1])
+        expected = A @ run0.states[t] + run0.noises[t - 1]
+        assert np.linalg.norm(record["y"] - expected) <= 1e-15 * np.linalg.norm(expected)
 
 
 def test_cli_import_does_not_load_scipy():
@@ -318,6 +323,26 @@ def test_repeated_output_path_exits_2_and_writes_nothing(tmp_path, monkeypatch, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sc.json"]
 
 
+@pytest.mark.parametrize(
+    "argv, output",
+    [
+        (["simulate", "sc.json", "o.csv", "--dump-runs", "./sc.json"], "./sc.json"),
+        (["sweep", "sc.json", "0.5", "sc.json"], "sc.json"),
+        (["bounds", "sc.json", "sc.json", "--gamma", "0.5"], "sc.json"),
+        (["replay", "m.jsonl", "m.jsonl", "--gamma", "1"], "m.jsonl"),
+    ],
+    ids=["simulate", "sweep", "bounds", "replay"],
+)
+def test_output_that_is_the_input_exits_2_and_leaves_the_input(tmp_path, monkeypatch, capsys, argv, output):
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "sc.json", minimal_scenario())
+    (tmp_path / "m.jsonl").write_text('{"t": 1, "y": [1.0], "A": [[1.0, 0.0]]}\n')
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert main(argv) == 2
+    assert f"output {output!r} is the input {argv[1]!r}" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 @pytest.mark.parametrize("grid", [["0.1", "1", "inf"], ["0.1", "inf", "3"], ["nan", "1", "3"]])
 def test_non_finite_gamma_grid_exits_2(tmp_path, capsys, grid):
     # An infinite COUNT must not reach int() (an OverflowError, exit 3), nor
@@ -359,6 +384,30 @@ def test_sweep_single_gamma_matches_simulate(tmp_path):
     assert sweep_lines[0] == "t,err_gamma_0.5"
     for sim_row, sweep_line in zip(sim_rows, sweep_lines[1:]):
         assert sweep_line.split(",") == [sim_row[0], sim_row[1]]  # mean column
+
+
+@pytest.mark.parametrize("kind, series", [("gaussian", "rms_error"), ("bounded", "mean_error")])
+def test_sweep_writes_rms_error_for_gaussian_noise_and_mean_error_otherwise(tmp_path, kind, series):
+    from wlstrack import io, simulation
+
+    record = minimal_scenario(n_runs=3, noise={"kind": kind, "delta_n": 0.5})
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", write_json(tmp_path / "sc.json", record), "0.25,2", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    scenario = io.scenario_from_dict(record)
+    for column, gamma in enumerate([0.25, 2.0], start=1):
+        summary = simulation.monte_carlo(scenario.with_gamma(gamma))
+        assert not np.array_equal(summary.mean_error, summary.rms_error)
+        assert [row[column] for row in rows] == [io.format_float(v) for v in getattr(summary, series)]
+
+
+def test_sweep_gives_distinct_gammas_distinct_column_names(tmp_path):
+    # Six significant digits name a gamma only when they read back as it.
+    cfg = write_json(tmp_path / "sc.json", minimal_scenario())
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", cfg, "0.1234567,0.1234568,0.25,1e-7,3", str(out)]) == 0
+    header = out.read_text().splitlines()[0]
+    assert header == "t,err_gamma_0.1234567,err_gamma_0.1234568,err_gamma_0.25,err_gamma_1e-07,err_gamma_3"
 
 
 def test_sweep_rejects_bad_gamma_list(tmp_path, capsys):
@@ -718,3 +767,23 @@ def test_repeated_invocations_are_byte_identical(tmp_path):
     assert main(["sweep", cfg, "0.25,1", str(sa)]) == 0
     assert main(["sweep", cfg, "0.25,1", str(sb), "--jobs", "2"]) == 0
     assert sa.read_bytes() == sb.read_bytes()
+
+
+# ------------------------------------------------------------------ README
+
+def test_readme_synopsis_matches_the_parser():
+    # The README's "Command line" block names every subcommand with its
+    # --options, and the parser has no other, so the synopsis cannot drift.
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```\n", 2)[1]
+    documented = {}
+    for line in block.splitlines():
+        if line.startswith("wlstrack "):
+            options = documented.setdefault(line.split()[1], set())
+        options.update(re.findall(r"--[a-z][a-z0-9-]*", line))
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    parsed = {
+        name: {o for a in sub._actions for o in a.option_strings if o.startswith("--") and o != "--help"}
+        for name, sub in subparsers.choices.items()
+    }
+    assert documented == parsed

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from wlstrack import io as wio
-from wlstrack.estimator import MeasurementBatch
-from wlstrack.simulation import McSummary, NoiseModel, ScenarioConfig
+from wlstrack.analysis import SystemEnsemble
+from wlstrack.simulation import NoiseModel, RunResult, ScenarioConfig
 
 
 def test_format_float_round_trips_exactly():
@@ -25,15 +25,14 @@ def test_estimates_row_writes_each_float_as_format_float():
     assert [float(v) for v in buf.getvalue().split(",")[1:]] == values
 
 
-def test_batch_dict_round_trip():
-    batch = MeasurementBatch(3, [1.0, 2.0], [[1.0, 0.5, 0.25], [0.0, 1.0, -1.0]], 2.0 * np.eye(2), b=[0.1, -0.2])
-    d = wio.batch_to_dict(batch)
-    back = wio.batch_from_dict(json.loads(json.dumps(d)))
+def test_batch_from_dict_reads_every_field():
+    text = '{"t": 3, "y": [1.0, 2.0], "A": [[1.0, 0.5, 0.25], [0.0, 1.0, -1.0]], "Q": [[2.0, 0.0], [0.0, 2.0]], "b": [0.1, -0.2]}'
+    back = wio.batch_from_dict(json.loads(text))
     assert back.t == 3
-    assert np.array_equal(back.y, batch.y)
-    assert np.array_equal(back.A, batch.A)
-    assert np.array_equal(back.Q, batch.Q)
-    assert np.array_equal(back.b, batch.b)
+    assert np.array_equal(back.y, [1.0, 2.0])
+    assert np.array_equal(back.A, [[1.0, 0.5, 0.25], [0.0, 1.0, -1.0]])
+    assert np.array_equal(back.Q, 2.0 * np.eye(2))
+    assert np.array_equal(back.b, [0.1, -0.2])
 
 
 def test_batch_from_dict_defaults_q():
@@ -63,24 +62,27 @@ def test_iter_batches_skips_blank_lines():
 
 def test_batches_jsonl_round_trip_is_exact():
     rng = np.random.default_rng(1)
-    batches = [
-        MeasurementBatch(t, rng.standard_normal(2), rng.standard_normal((2, 3)), np.eye(2) + 0.1)
-        for t in range(1, 6)
-    ]
+    members = tuple((rng.standard_normal((2, 3)), np.eye(2) + 0.1 * i) for i in range(3))
+    ensemble = SystemEnsemble(members, 3)
+    indices = np.array([2, 0, 1, 1, 2])
+    measurements = rng.standard_normal((5, 2)) * 10.0 ** rng.integers(-12, 12, (5, 2))
+    run = RunResult(np.zeros(5), np.zeros(3), np.zeros(3), 0, member_indices=indices, measurements=measurements)
     buf = stdio.StringIO()
-    wio.write_batches_jsonl(batches, buf)
+    wio.write_run_measurements_jsonl(run, ensemble, buf)
     buf.seek(0)
     back = list(wio.iter_batches_jsonl(buf))
-    for a, b in zip(batches, back):
-        assert np.array_equal(a.y, b.y)
-        assert np.array_equal(a.A, b.A)
-        assert np.array_equal(a.Q, b.Q)
+    assert [b.t for b in back] == [1, 2, 3, 4, 5]
+    for y, index, b in zip(measurements, indices, back):
+        A, Q = ensemble.members[index]
+        assert np.array_equal(b.y, y)
+        assert np.array_equal(b.A, A)
+        assert np.array_equal(b.Q, Q)
+        assert b.b is None
 
 
 def test_mc_summary_csv_format():
-    summary = McSummary(mean_error=np.array([1.0, 0.5]), rms_error=np.array([1.5, 0.75]))
     buf = stdio.StringIO()
-    wio.write_mc_summary_csv(summary, buf)
+    wio.write_table(buf, ["t", "mean_error", "rms_error"], [range(1, 3), np.array([1.0, 0.5]), np.array([1.5, 0.75])])
     lines = buf.getvalue().splitlines()
     assert lines[0] == "t,mean_error,rms_error"
     assert lines[1] == "1,1,1.5"
@@ -88,36 +90,40 @@ def test_mc_summary_csv_format():
 
 
 def test_sweep_csv_header_and_columns():
-    s1 = McSummary(mean_error=np.array([1.0]), rms_error=np.array([2.0]))
-    s2 = McSummary(mean_error=np.array([3.0]), rms_error=np.array([4.0]))
     buf = stdio.StringIO()
-    wio.write_sweep_csv([0.25, 2.0], [s1, s2], buf)
+    wio.write_table(buf, ["t", "err_gamma_0.25", "err_gamma_2"], [[1], np.array([1.0]), np.array([3.0])])
     lines = buf.getvalue().splitlines()
     assert lines[0] == "t,err_gamma_0.25,err_gamma_2"
     assert lines[1] == "1,1,3"
+
+
+def test_table_writes_each_value_as_format_float():
+    values = [-0.0, 5e-324, 1e308, np.float64(0.1), 1 / 3, float("inf"), 123456789.12345679, 7]
     buf = stdio.StringIO()
-    wio.write_sweep_csv([0.25, 2.0], [s1, s2], buf, use_rms=True)
-    assert buf.getvalue().splitlines()[1] == "1,2,4"
+    wio.write_table(buf, ["a", "b"], [values, values[::-1]])
+    rows = [line.split(",") for line in buf.getvalue().splitlines()[1:]]
+    assert rows == [[wio.format_float(a), wio.format_float(b)] for a, b in zip(values, values[::-1])]
 
 
 def test_scenario_round_trip():
-    sc = ScenarioConfig(
+    record = {
+        "n_states": 4, "n_meas": 2, "horizon": 10, "library_size": 3, "delta_x": 1.0,
+        "noise": {"kind": "gaussian", "delta_n": 0.25}, "gamma": 0.4, "n_runs": 2, "seed": 9,
+        "sequence_policy": "window", "window": 3, "x0": [0.0, 0.1, 0.2, 0.3],
+    }
+    back = wio.scenario_from_dict(json.loads(json.dumps(record)))
+    assert back == ScenarioConfig(
         n_states=4, n_meas=2, horizon=10, library_size=3, delta_x=1.0,
         noise=NoiseModel("gaussian", 0.25), gamma=0.4, n_runs=2, seed=9,
         sequence_policy="window", window=3, x0=(0.0, 0.1, 0.2, 0.3),
     )
-    back = wio.scenario_from_dict(json.loads(json.dumps(wio.scenario_to_dict(sc))))
-    assert back == sc
 
 
 def test_scenario_missing_field_named():
-    d = wio.scenario_to_dict(
-        ScenarioConfig(
-            n_states=2, n_meas=1, horizon=5, library_size=2, delta_x=1.0,
-            noise=NoiseModel("bounded", 1.0), gamma=1.0, n_runs=2, seed=1,
-        )
-    )
-    del d["gamma"]
+    d = {
+        "n_states": 2, "n_meas": 1, "horizon": 5, "library_size": 2, "delta_x": 1.0,
+        "noise": {"kind": "bounded", "delta_n": 1.0}, "n_runs": 2, "seed": 1,
+    }
     with pytest.raises(ValueError, match="missing required field 'gamma'"):
         wio.scenario_from_dict(d)
     d["gamma"] = 1.0
@@ -134,8 +140,7 @@ def test_readme_scenario_example_loads():
     block = section.split("```json\n", 1)[1].split("```", 1)[0]
     record = json.loads(block)
     assert set(record) == {f.name for f in dataclasses.fields(ScenarioConfig)}
-    sc = wio.scenario_from_dict(record)
-    assert wio.scenario_from_dict(wio.scenario_to_dict(sc)) == sc
+    wio.scenario_from_dict(record)
 
 
 def test_ensemble_from_dict():

@@ -318,6 +318,14 @@ def test_noiseless_static_run_errors_shrink_monotonically():
     assert errors[-1] < 0.1 * errors[0]
 
 
+def test_measurements_are_recorded_only_with_details():
+    sc = small_scenario()
+    plain = simulate_run(sc, seed_for_run(sc, 2))
+    assert plain.measurements is None and plain.noises is None
+    detailed = simulate_run(sc, seed_for_run(sc, 2), keep_details=True)
+    assert detailed.measurements.shape == (sc.horizon, sc.n_meas)
+
+
 def test_run_is_deterministic_given_seeds():
     sc = small_scenario()
     a = simulate_run(sc, seed_for_run(sc, 2), keep_details=True)
@@ -533,7 +541,7 @@ def test_lockstep_runs_equal_update_fold_bitwise(gamma):
 
 def assert_runs_equal(a, b):
     for field in ("per_step_error", "final_state", "final_estimate", "member_indices",
-                  "states", "estimates", "deltas", "noises"):
+                  "states", "estimates", "deltas", "noises", "measurements"):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
     assert a.seed_used == b.seed_used
 
