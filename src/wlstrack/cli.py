@@ -12,11 +12,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import itertools
-import json
 import os
 import sys
 
 import numpy as np
+import orjson
 
 from . import analysis, io, simulation
 from .estimator import (
@@ -42,8 +42,14 @@ JOBS_HELP = (
 
 
 def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as fobj:
-        return json.load(fobj)
+    """The JSON document in file `path`; ValueError naming the file when it
+    is not one (orjson reads the bytes and checks their UTF-8 itself)."""
+    with open(path, "rb") as fobj:
+        data = fobj.read()
+    try:
+        return orjson.loads(data)
+    except orjson.JSONDecodeError as exc:
+        raise ValueError(f"malformed JSON in {path!r}: {exc}") from exc
 
 
 def _load_scenario(path: str) -> simulation.ScenarioConfig:

@@ -81,6 +81,14 @@ def _check_int(value, name: str, minimum: int | None = None) -> int:
     return int(value)
 
 
+def _check_index(value, name: str, minimum: int) -> int:
+    """_check_int for a step index or a seed, which must also lie below 2**64."""
+    value = _check_int(value, name, minimum)
+    if value >= 1 << 64:
+        raise ValueError(f"{name} must be below 2**64, got {value}")
+    return value
+
+
 def _read_only_copy(M: np.ndarray) -> np.ndarray:
     M = np.array(M)
     M.flags.writeable = False
@@ -171,7 +179,7 @@ class MeasurementBatch:
     """One time step's stacked measurements.
 
     Attributes:
-        t: step index, integer >= 1.
+        t: step index, integer in [1, 2**64).
         y: measurement vector, length M.
         A: measurement matrix, M x N.  M may vary across batches; N may not.
         Q: symmetric positive definite weighting matrix, M x M.  Defaults to
@@ -195,7 +203,7 @@ class MeasurementBatch:
     _model: _Whitened = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "t", _check_int(self.t, "t", 1))
+        object.__setattr__(self, "t", _check_index(self.t, "t", 1))
         model = _whitened_svd(self.A, self.Q)
         y = _as_float_array(self.y, "y", 1)
         m = model.A.shape[0]
@@ -211,10 +219,6 @@ class MeasurementBatch:
         object.__setattr__(self, "Q", model.Q)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "_model", model)
-
-    @property
-    def n_meas(self) -> int:
-        return self.A.shape[0]
 
     @property
     def n_states(self) -> int:

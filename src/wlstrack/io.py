@@ -3,8 +3,10 @@
 Each output record has one writer here; the commands that write a whole
 table declare its header and columns, and write_table owns the encoding.
 All CSV floats are written with 17 significant digits so every float64
-round-trips exactly; JSON uses Python's shortest-repr float encoding, which
-round-trips as well.
+round-trips exactly.  JSON is written with json.dumps, whose shortest-repr
+floats round-trip as well, and parsed with orjson, which reads every finite
+double back bit for bit and rejects what RFC 8259 does not allow (NaN,
+Infinity, numbers beyond the double range).
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import json
 from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
+import orjson
 
 from .analysis import BoundReport, SystemEnsemble
 from .estimator import MeasurementBatch
@@ -88,8 +91,8 @@ def iter_batches_jsonl(lines: Iterable[str]) -> Iterator[MeasurementBatch]:
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
+            record = orjson.loads(line)
+        except orjson.JSONDecodeError as exc:
             raise ValueError(f"malformed JSON on line {line_no}: {exc}") from exc
         yield batch_from_dict(record, line_no=line_no)
 

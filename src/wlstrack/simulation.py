@@ -37,7 +37,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .analysis import SystemEnsemble
-from .estimator import _advance, _as_float_array, _check_gamma, _check_int, initial_state
+from .estimator import _advance, _as_float_array, _check_gamma, _check_index, _check_int, initial_state
 from .estimator import update  # noqa: F401  (simulation.update, a span slot in perfbench/spans.py)
 
 __all__ = [
@@ -149,10 +149,7 @@ class ScenarioConfig:
         if not isinstance(self.noise, NoiseModel):
             raise ValueError("noise must be a NoiseModel")
         _check_gamma(self.gamma)
-        seed = _check_int(self.seed, "seed", 0)
-        if seed > _MASK64:
-            raise ValueError(f"seed must be below 2**64, got {seed}")
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "seed", _check_index(self.seed, "seed", 0))
         if self.sequence_policy not in ("window", "uniform"):
             raise ValueError(
                 f"sequence_policy must be 'window' or 'uniform', got {self.sequence_policy!r}"

@@ -11,6 +11,8 @@ import pytest
 
 import wlstrack
 from wlstrack.cli import build_parser, main
+from wlstrack.estimator import MeasurementBatch
+from wlstrack.simulation import NoiseModel, ScenarioConfig
 
 from helpers import count_calls, rel_err
 
@@ -648,6 +650,14 @@ def test_replay_rejection_leaves_out_as_it_was(tmp_path, capsys, second_line, op
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["meas.jsonl"] + (["est.csv"] if existing else []))
 
 
+def test_replay_of_empty_file_with_x0_writes_the_header_of_its_length(tmp_path):
+    src = tmp_path / "meas.jsonl"
+    src.write_text("")
+    out = tmp_path / "est.csv"
+    assert main(["replay", str(src), str(out), "--gamma", "1.0", "--x0", "1,2"]) == 0
+    assert out.read_bytes() == b"t,x_hat_1,x_hat_2\n"
+
+
 def test_replay_x0_override(tmp_path):
     src = tmp_path / "meas.jsonl"
     src.write_text(batch_line(1, [0.0], [[0.0, 0.0]]) + "\n")
@@ -713,21 +723,60 @@ def test_replay_with_gamma_far_below_norm_squared(tmp_path, gamma):
 def test_non_integer_json_value_where_an_integer_is_read_exits_2_and_writes_nothing(
     tmp_path, capsys, command, field, value
 ):
-    # JSON true would otherwise be taken as the integer 1, and Infinity
-    # raised OverflowError past the exit-code handling.
+    # JSON true would otherwise be taken as the integer 1.  json.dumps writes
+    # inf and nan as the tokens Infinity and NaN, which are not JSON, so the
+    # parser rejects those files and names the file or the line.
     out = tmp_path / "out.csv"
     if command == "replay":
         src = tmp_path / "meas.jsonl"
         src.write_text(json.dumps({"t": value, "y": [1.0], "A": [[1.0]]}) + "\n")
         argv = ["replay", str(src), str(out), "--gamma", "1.0"]
+        malformed = "malformed JSON on line 1: "
     elif command == "bounds":
         ens = write_json(tmp_path / "ens.json", {"n_states": value, "members": [{"A": [[1.0]]}]})
         argv = ["bounds", ens, str(out), "--gamma", "1.0", "--tau", "1"]
+        malformed = f"malformed JSON in {ens!r}: "
     else:
-        argv = ["simulate", write_json(tmp_path / "sc.json", minimal_scenario(**{field: value})), str(out)]
+        config = write_json(tmp_path / "sc.json", minimal_scenario(**{field: value}))
+        argv = ["simulate", config, str(out)]
+        malformed = f"malformed JSON in {config!r}: "
     assert main(argv) == 2
-    assert f"{field} must be an integer" in capsys.readouterr().err
+    expected = f"{field} must be an integer" if isinstance(value, bool) else malformed
+    assert expected in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_non_finite_value_where_an_integer_is_read_raises_through_the_python_api():
+    # JSON input can no longer carry inf or nan; the Python API still can.
+    with pytest.raises(ValueError, match="horizon must be an integer"):
+        ScenarioConfig(**{**minimal_scenario(horizon=float("inf")), "noise": NoiseModel("bounded", 1.0)})
+    with pytest.raises(ValueError, match="t must be an integer"):
+        MeasurementBatch(t=float("nan"), y=[1.0], A=[[1.0]])
+
+
+def test_step_index_of_2_to_the_64_or_more_exits_2_and_writes_nothing(tmp_path, capsys):
+    # The parser reads an integer above 2**64 - 1 as the nearest float, so
+    # without the limit this t would be replayed as 18446744073709551616.
+    src = tmp_path / "meas.jsonl"
+    src.write_text('{"t": 18446744073709551617, "y": [1.0], "A": [[1.0]]}\n')
+    out = tmp_path / "out.csv"
+    assert main(["replay", str(src), str(out), "--gamma", "1.0"]) == 2
+    assert "t must be below 2**64" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["meas.jsonl"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "bounds", "verify"])
+def test_malformed_json_file_is_named_in_the_error(tmp_path, capsys, command):
+    path = tmp_path / "in.json"
+    path.write_text('{"n_states": 2,}')
+    argv = {
+        "simulate": ["simulate", str(path), str(tmp_path / "out.csv")],
+        "bounds": ["bounds", str(path), str(tmp_path / "out.csv"), "--gamma", "1"],
+        "verify": ["verify", str(path)],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: malformed JSON in {str(path)!r}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.json"]
 
 
 # -------------------------------------------------------------------- verify

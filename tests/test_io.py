@@ -66,6 +66,7 @@ def test_batches_jsonl_round_trip_is_exact():
     ensemble = SystemEnsemble(members, 3)
     indices = np.array([2, 0, 1, 1, 2])
     measurements = rng.standard_normal((5, 2)) * 10.0 ** rng.integers(-12, 12, (5, 2))
+    measurements[:2] = [[-0.0, 5e-324], [1.7976931348623157e308, -2.2250738585072014e-308]]
     run = RunResult(np.zeros(5), np.zeros(3), np.zeros(3), 0, member_indices=indices, measurements=measurements)
     buf = stdio.StringIO()
     wio.write_run_measurements_jsonl(run, ensemble, buf)
@@ -74,9 +75,10 @@ def test_batches_jsonl_round_trip_is_exact():
     assert [b.t for b in back] == [1, 2, 3, 4, 5]
     for y, index, b in zip(measurements, indices, back):
         A, Q = ensemble.members[index]
-        assert np.array_equal(b.y, y)
-        assert np.array_equal(b.A, A)
-        assert np.array_equal(b.Q, Q)
+        # bit for bit, so that a -0.0 keeps its sign
+        assert b.y.tobytes() == y.tobytes()
+        assert b.A.tobytes() == A.tobytes()
+        assert b.Q.tobytes() == Q.tobytes()
         assert b.b is None
 
 
